@@ -74,6 +74,23 @@ fatalIf(bool cond, const std::string &msg)
         fatal(msg);
 }
 
+// Literal-message overloads: the std::string is built only when the
+// check fires, so a check on a hot path costs one branch, not a heap
+// allocation per call.
+inline void
+panicIf(bool cond, const char *msg)
+{
+    if (cond)
+        panic(msg);
+}
+
+inline void
+fatalIf(bool cond, const char *msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
 } // namespace tmcc
 
 #endif // TMCC_COMMON_LOG_HH

@@ -62,7 +62,9 @@ struct SimConfig
     double nocToMcNs = 18.0;
 
     unsigned tlbEntries = 2048;
-    unsigned cteBufferEntries = 64; //!< per-core CTE Buffer (§V-A6)
+    /** Per-core CTE Buffer entries (§V-A6); 1..CteBuffer::maxEntries
+     * (65536), which deserialized configs are checked against. */
+    unsigned cteBufferEntries = 64;
     bool hugePages = false;
 
     /**

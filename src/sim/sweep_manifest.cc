@@ -4,6 +4,7 @@
 
 #include "common/log.hh"
 #include "common/versioned_file.hh"
+#include "tmcc/cte_buffer.hh"
 
 namespace tmcc
 {
@@ -260,6 +261,13 @@ deserializeSimConfig(ByteReader &r, SimConfig &cfg)
     cfg.nocToMcNs = r.f64();
     cfg.tlbEntries = r.u32();
     cfg.cteBufferEntries = r.u32();
+    if (r.ok() && (cfg.cteBufferEntries == 0 ||
+                   cfg.cteBufferEntries > CteBuffer::maxEntries))
+        return Status::corruption("SimConfig cteBufferEntries " +
+                                  std::to_string(cfg.cteBufferEntries) +
+                                  " outside [1, " +
+                                  std::to_string(CteBuffer::maxEntries) +
+                                  "]");
     cfg.hugePages = r.u8() != 0;
     cfg.nestedPaging = r.u8() != 0;
     cfg.memOverlapFactor = r.f64();

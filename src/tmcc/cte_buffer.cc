@@ -1,29 +1,45 @@
 #include "tmcc/cte_buffer.hh"
 
+#include <bit>
+
+#include "common/log.hh"
+
 namespace tmcc
 {
 
-CteBuffer::CteBuffer(unsigned entries)
-    : stride_(simd::padWays(entries)),
-      ppns_(stride_, padPpn),
-      hasCte_(stride_, 0),
-      cte_(stride_, 0),
-      ptbAddr_(stride_, invalidAddr),
-      lru_(stride_, ~std::uint64_t{0}),
-      entries_(entries)
+std::size_t
+CteBuffer::indexBuckets(unsigned entries)
 {
-    for (unsigned i = 0; i < entries; ++i) {
-        ppns_[i] = invalidPpn;
-        lru_[i] = 0;
-    }
+    // At most one-eighth full: probe runs stay short and always end.
+    return std::bit_ceil(8 * static_cast<std::size_t>(entries));
+}
+
+std::size_t
+CteBuffer::homeBucket(Ppn ppn, unsigned entries)
+{
+    return hashHome(ppn, 64 - std::countr_zero(indexBuckets(entries)));
+}
+
+CteBuffer::CteBuffer(unsigned entries)
+{
+    fatalIf(entries == 0, "CteBuffer needs at least one entry");
+    fatalIf(entries > maxEntries,
+            "CteBuffer entries " + std::to_string(entries) +
+                " above the cap of " + std::to_string(maxEntries));
+    index_.resize(indexBuckets(entries));
+    mask_ = index_.size() - 1;
+    shift_ = 64 - std::countr_zero(index_.size());
+    slots_.resize(entries);
+    links_.resize(entries + 1);
+    flush();
 }
 
 void
 CteBuffer::flush()
 {
-    // Real slots only: padding slots must keep the pad sentinel.
-    for (unsigned i = 0; i < entries_; ++i)
-        ppns_[i] = invalidPpn;
+    index_.assign(index_.size(), emptySlot);
+    used_ = 0;
+    links_[sentinel()] = {sentinel(), sentinel()};
 }
 
 void

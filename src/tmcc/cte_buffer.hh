@@ -8,15 +8,26 @@
  * carry the correct CTE back; a mismatch triggers the lazy PTB update
  * at the recorded PTB physical address.
  *
- * The table is fully associative and searched on every LLC-bound
- * access, so the key scan is the measured loop's hottest loop: keys
- * live in one contiguous PPN array (invalid entries hold a sentinel no
- * real PPN can take) with payload arrays alongside, and the hot
- * methods are defined inline here.  The scan itself runs through the
- * common/simd.hh probe primitives in chunks of up to simd::maxWays
- * entries (one chunk for the default 64-entry buffer), so a full-table
- * search is a handful of whole-vector compares; the primitives'
- * scalar fallback is the oracle, keeping SIMD builds bit-identical.
+ * The buffer is a bounded LRU set: every page walk inserts up to eight
+ * PPNs and every LLC-bound access looks one up, so each operation is
+ * O(1) and the hot methods are defined inline here.  Three parts:
+ *
+ *  - a small open-addressed PPN -> slot index: a power-of-two table
+ *    of slot numbers at most one-eighth full (2 KB for 64 entries), a
+ *    Fibonacci-hashed home bucket, linear probing, and backward-shift
+ *    delete, so no tombstones build up.  The sparse table makes most
+ *    probes end at their first bucket, which keeps the probe loops
+ *    predictable; keys are compared in the slot payload;
+ *  - an intrusive doubly linked list over slot indices in exact
+ *    recency order (head = LRU victim, tail = MRU), closed through one
+ *    sentinel node so linking never branches;
+ *  - a bump count of used slots: slots fill in order until the buffer
+ *    is full, after which each miss recycles the LRU slot.
+ *
+ * Every insert and every lookup hit takes the next stamp of one clock
+ * and moves its entry to the MRU end.  Stamps are unique, so the list
+ * head is exactly the argmin-stamp entry the historical full-table
+ * scan evicted, and Entry::lru matches it too.
  */
 
 #ifndef TMCC_TMCC_CTE_BUFFER_HH
@@ -25,7 +36,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/simd.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -36,6 +46,10 @@ namespace tmcc
 class CteBuffer : public Stated
 {
   public:
+    /** Largest buffer a config may ask for (the paper's has 64). */
+    static constexpr unsigned maxEntries = 65536;
+
+    /** `entries` must be in [1, maxEntries]; fatal otherwise. */
     explicit CteBuffer(unsigned entries = 64);
 
     struct Entry
@@ -53,88 +67,71 @@ class CteBuffer : public Stated
     insert(Ppn ppn, bool has_cte, std::uint64_t cte, Addr ptb_addr)
     {
         inserts_.inc();
-        // One fused pass per chunk: resident match (refresh in place)
-        // and first free slot.  A match anywhere supersedes free
-        // slots, so recording the first free slot while scanning for
-        // the match preserves the split-scan order exactly.
-        std::size_t slot = npos, free_slot = npos;
-        for (std::size_t c = 0; c < stride_; c += chunk) {
-            std::uint64_t ma, mb;
-            Probe::eqMask2(&ppns_[c], chunkLen(c), ppn, invalidPpn,
-                           ma, mb);
-            if (ma) {
-                slot = c + simd::firstWay(ma);
-                break;
-            }
-            if (mb && free_slot == npos)
-                free_slot = c + simd::firstWay(mb);
+        const std::size_t b = probe(ppn);
+        std::uint32_t s = index_[b];
+        if (s != emptySlot) {
+            unlink(s); // resident: refresh in place
+        } else if (used_ < slots_.size()) {
+            s = used_++;
+            index_[b] = s;
+        } else {
+            // Full: recycle the LRU slot.  Deleting the victim's key
+            // may shift `ppn`'s free bucket back, so probe again.
+            s = links_[sentinel()].next;
+            unlink(s);
+            erase(probe(slots_[s].ppn));
+            index_[probe(ppn)] = s;
         }
-        if (slot == npos)
-            slot = free_slot;
-        if (slot == npos) {
-            // No free slot: evict the LRU entry (stamps unique, so the
-            // argmin is unique); chunk minima keep the earliest index
-            // on ties, matching the historical strict-< running min.
-            std::size_t best = 0;
-            std::uint64_t best_val = ~std::uint64_t{0};
-            for (std::size_t c = 0; c < stride_; c += chunk) {
-                const unsigned n = chunkLen(c);
-                const std::size_t i = c + Probe::minIndex(&lru_[c], n);
-                if (lru_[i] < best_val) {
-                    best_val = lru_[i];
-                    best = i;
-                }
-            }
-            slot = best;
-        }
-        ppns_[slot] = ppn;
-        hasCte_[slot] = has_cte;
-        cte_[slot] = cte;
-        ptbAddr_[slot] = ptb_addr;
-        lru_[slot] = ++lruClock_;
+        Entry &e = slots_[s];
+        e.ppn = ppn;
+        e.hasCte = has_cte;
+        e.cte = cte;
+        e.ptbAddr = ptb_addr;
+        e.valid = true;
+        e.lru = ++lruClock_;
+        linkMru(s);
     }
 
     /**
-     * Look up by PPN; nullptr on miss.  The returned pointer aliases a
-     * scratch entry refreshed by the next lookup — read it immediately
-     * (exactly how the pipeline and tests use it).
+     * Look up by PPN; nullptr on miss.  The returned pointer aliases
+     * the entry's slot, which the next insert, updateOnResponse or
+     * flush may rewrite — read it immediately (exactly how the
+     * pipeline and tests use it).
      */
     const Entry *
     lookup(Ppn ppn)
     {
-        const std::size_t e = find(ppn);
-        if (e == npos) {
+        const std::uint32_t s = index_[probe(ppn)];
+        if (s == emptySlot) {
             misses_.inc();
             return nullptr;
         }
         hits_.inc();
-        lru_[e] = ++lruClock_;
-        scratch_.ppn = ppns_[e];
-        scratch_.hasCte = hasCte_[e] != 0;
-        scratch_.cte = cte_[e];
-        scratch_.ptbAddr = ptbAddr_[e];
-        scratch_.valid = true;
-        scratch_.lru = lru_[e];
-        return &scratch_;
+        slots_[s].lru = ++lruClock_;
+        unlink(s);
+        linkMru(s);
+        return &slots_[s];
     }
 
     /**
      * Response handling (§V-A3): store the correct CTE into the entry;
      * returns the PTB address to lazily update if the entry existed and
-     * its CTE was missing or mismatched, else invalidAddr.
+     * its CTE was missing or mismatched, else invalidAddr.  Recency is
+     * left alone.
      */
     Addr
     updateOnResponse(Ppn ppn, std::uint64_t correct_cte)
     {
-        const std::size_t e = find(ppn);
-        if (e == npos)
+        const std::uint32_t s = index_[probe(ppn)];
+        if (s == emptySlot)
             return invalidAddr;
-        const bool stale = !hasCte_[e] || cte_[e] != correct_cte;
-        hasCte_[e] = 1;
-        cte_[e] = correct_cte;
+        Entry &e = slots_[s];
+        const bool stale = !e.hasCte || e.cte != correct_cte;
+        e.hasCte = true;
+        e.cte = correct_cte;
         if (stale) {
             staleUpdates_.inc();
-            return ptbAddr_[e];
+            return e.ptbAddr;
         }
         return invalidAddr;
     }
@@ -144,57 +141,90 @@ class CteBuffer : public Stated
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;
 
+    /** Index buckets of an `entries`-slot buffer (a power of two). */
+    static std::size_t indexBuckets(unsigned entries);
+
+    /**
+     * Home bucket of `ppn` in an `entries`-slot buffer's index;
+     * exposed so tests can build keys that collide.
+     */
+    static std::size_t homeBucket(Ppn ppn, unsigned entries);
+
   private:
-    static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
+    static constexpr std::uint32_t emptySlot = ~std::uint32_t{0};
 
-    /** No real PPN is all-ones; marks an invalid slot in ppns_. */
-    static constexpr Ppn invalidPpn = ~static_cast<Ppn>(0);
-
-    /** Padding-slot key: matches neither a real PPN nor invalidPpn. */
-    static constexpr Ppn padPpn = invalidPpn ^ 1;
-
-    using Probe = simd::Active;
-
-    /** Probe chunk: one way mask's worth of entries per vector scan. */
-    static constexpr std::size_t chunk = simd::maxWays;
-
-    unsigned
-    chunkLen(std::size_t base) const
+    /** Fibonacci hashing: the top bits of ppn * 2^64/phi. */
+    static std::size_t
+    hashHome(Ppn ppn, unsigned shift)
     {
-        return static_cast<unsigned>(
-            stride_ - base < chunk ? stride_ - base : chunk);
+        return static_cast<std::size_t>(
+            (ppn * 0x9e3779b97f4a7c15ull) >> shift);
     }
 
-    /** First slot whose key equals `key`, or npos (vector scan). */
+    std::size_t home(Ppn ppn) const { return hashHome(ppn, shift_); }
+
+    /** Bucket holding `ppn`, or the empty bucket ending its chain. */
     std::size_t
-    findSlot(Ppn key) const
+    probe(Ppn ppn) const
     {
-        for (std::size_t c = 0; c < stride_; c += chunk)
-            if (const std::uint64_t m =
-                    Probe::eqMask(&ppns_[c], chunkLen(c), key))
-                return c + simd::firstWay(m);
-        return npos;
+        std::size_t b = home(ppn);
+        while (index_[b] != emptySlot && slots_[index_[b]].ppn != ppn)
+            b = (b + 1) & mask_;
+        return b;
     }
 
     /**
-     * Index of the valid entry keyed by `ppn`, or npos.  Keys are
-     * unique (insert refreshes in place), so "first match" is "the
-     * match" — this scan runs on every LLC-bound access and eight
-     * times per page walk.
+     * Free bucket `hole`, then pull back every later key of its probe
+     * run whose home is not cyclically in (hole, key's bucket].
      */
-    std::size_t find(Ppn ppn) const { return findSlot(ppn); }
+    void
+    erase(std::size_t hole)
+    {
+        for (std::size_t b = (hole + 1) & mask_;
+             index_[b] != emptySlot; b = (b + 1) & mask_) {
+            if (((b - home(slots_[index_[b]].ppn)) & mask_) >=
+                ((b - hole) & mask_)) {
+                index_[hole] = index_[b];
+                hole = b;
+            }
+        }
+        index_[hole] = emptySlot;
+    }
 
-    // Structure-of-arrays entries, padded to the vector width (padding
-    // slots hold padPpn / all-ones LRU and are never chosen): the key
-    // scan touches only ppns_.
-    std::size_t stride_; //!< entry count padded to the vector width
-    std::vector<Ppn> ppns_;
-    std::vector<std::uint8_t> hasCte_;
-    std::vector<std::uint64_t> cte_;
-    std::vector<Addr> ptbAddr_;
-    std::vector<std::uint64_t> lru_;
-    unsigned entries_; //!< real (unpadded) capacity
-    Entry scratch_; //!< backing storage for lookup()'s return
+    /** The recency list's sentinel node sits after the real slots. */
+    std::uint32_t
+    sentinel() const
+    {
+        return static_cast<std::uint32_t>(slots_.size());
+    }
+
+    void
+    unlink(std::uint32_t s)
+    {
+        links_[links_[s].prev].next = links_[s].next;
+        links_[links_[s].next].prev = links_[s].prev;
+    }
+
+    void
+    linkMru(std::uint32_t s)
+    {
+        const std::uint32_t tail = links_[sentinel()].prev;
+        links_[s] = {tail, sentinel()};
+        links_[tail].next = s;
+        links_[sentinel()].prev = s;
+    }
+
+    struct Link
+    {
+        std::uint32_t prev, next;
+    };
+
+    std::vector<std::uint32_t> index_; //!< PPN -> slot or emptySlot
+    std::size_t mask_;                 //!< index_.size() - 1
+    unsigned shift_;                   //!< 64 - log2(index_.size())
+    std::vector<Entry> slots_;         //!< payload, one per entry
+    std::vector<Link> links_;          //!< recency list + sentinel
+    std::uint32_t used_ = 0;           //!< slots [0, used_) are live
 
     std::uint64_t lruClock_ = 0;
     Counter inserts_, hits_, misses_, staleUpdates_;

@@ -1,6 +1,7 @@
 #include "tmcc/os_mc.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "common/trace.hh"
@@ -489,8 +490,9 @@ OsInspiredMc::ptbView(Addr ptb_addr)
     ptbCompressedFetches_.inc();
     view.compressed = true;
 
-    auto [it, fresh] = ptbShadow_.try_emplace(ptb_addr);
-    PtbShadow &shadow = it->second;
+    PtbShadow *found = findPtbShadow(ptb_addr);
+    const bool fresh = found == nullptr;
+    PtbShadow &shadow = fresh ? addPtbShadow(ptb_addr) : *found;
 
     for (unsigned i = 0; i < ptesPerPtb; ++i) {
         view.present[i] = ptePresent(ptes[i]);
@@ -534,11 +536,69 @@ OsInspiredMc::ptbView(Addr ptb_addr)
     return view;
 }
 
+namespace
+{
+
+/** Home bucket of a PTB address in a `buckets`-entry index. */
+std::size_t
+ptbShadowHome(Addr ptb_addr, std::size_t buckets)
+{
+    return static_cast<std::size_t>(
+        ((ptb_addr / ptbBytes) * 0x9e3779b97f4a7c15ull) >>
+        (64 - std::countr_zero(buckets)));
+}
+
+} // namespace
+
+OsInspiredMc::PtbShadow *
+OsInspiredMc::findPtbShadow(Addr ptb_addr)
+{
+    if (ptbShadowIndex_.empty())
+        return nullptr;
+    const std::size_t mask = ptbShadowIndex_.size() - 1;
+    for (std::size_t b = ptbShadowHome(ptb_addr, ptbShadowIndex_.size());;
+         b = (b + 1) & mask) {
+        const std::uint32_t i = ptbShadowIndex_[b];
+        if (i == noShadow)
+            return nullptr;
+        if (ptbShadows_[i].ptbAddr == ptb_addr)
+            return &ptbShadows_[i];
+    }
+}
+
+void
+OsInspiredMc::indexPtbShadow(std::uint32_t i)
+{
+    const std::size_t mask = ptbShadowIndex_.size() - 1;
+    std::size_t b =
+        ptbShadowHome(ptbShadows_[i].ptbAddr, ptbShadowIndex_.size());
+    while (ptbShadowIndex_[b] != noShadow)
+        b = (b + 1) & mask;
+    ptbShadowIndex_[b] = i;
+}
+
+OsInspiredMc::PtbShadow &
+OsInspiredMc::addPtbShadow(Addr ptb_addr)
+{
+    ptbShadows_.push_back(PtbShadow{ptb_addr, {}, {}});
+    if (2 * ptbShadows_.size() > ptbShadowIndex_.size()) {
+        // Double the index and refile every shadow.
+        ptbShadowIndex_.assign(
+            std::max<std::size_t>(64, 2 * ptbShadowIndex_.size()),
+            noShadow);
+        for (std::uint32_t i = 0; i < ptbShadows_.size(); ++i)
+            indexPtbShadow(i);
+    } else {
+        indexPtbShadow(static_cast<std::uint32_t>(ptbShadows_.size() - 1));
+    }
+    return ptbShadows_.back();
+}
+
 void
 OsInspiredMc::lazyUpdatePtb(Addr ptb_addr, Ppn ppn, std::uint64_t new_cte)
 {
-    auto it = ptbShadow_.find(ptb_addr);
-    if (it == ptbShadow_.end())
+    PtbShadow *shadow = findPtbShadow(ptb_addr);
+    if (shadow == nullptr)
         return;
     const Ppn ptb_page = pageNumber(ptb_addr);
     if (!physMem_.isPageTablePage(ptb_page))
@@ -548,8 +608,8 @@ OsInspiredMc::lazyUpdatePtb(Addr ptb_addr, Ppn ppn, std::uint64_t new_cte)
     for (unsigned i = 0; i < ptesPerPtb; ++i) {
         if (ptePpn(page[first + i]) == ppn &&
             ptePresent(page[first + i])) {
-            it->second.hasCte[i] = true;
-            it->second.cte[i] = new_cte;
+            shadow->hasCte[i] = true;
+            shadow->cte[i] = new_cte;
             lazyPtbUpdates_.inc();
         }
     }

@@ -25,9 +25,8 @@
 #define TMCC_TMCC_OS_MC_HH
 
 #include <array>
+#include <deque>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "compress/deflate_timing.hh"
@@ -220,13 +219,31 @@ class OsInspiredMc : public MemController
     };
     std::vector<Ml2Slot> ml2Location_;
 
-    /** Shadow of embedded CTE values stored in compressed PTBs. */
+    /** Shadow of the embedded CTE values stored in one compressed PTB. */
     struct PtbShadow
     {
+        Addr ptbAddr = invalidAddr;
         std::array<bool, ptesPerPtb> hasCte{};
         std::array<std::uint64_t, ptesPerPtb> cte{};
     };
-    std::unordered_map<Addr, PtbShadow> ptbShadow_;
+
+    /** Shadow of the PTB at `ptb_addr`; nullptr if never embedded. */
+    PtbShadow *findPtbShadow(Addr ptb_addr);
+
+    /** Start the shadow of a PTB that has none yet. */
+    PtbShadow &addPtbShadow(Addr ptb_addr);
+
+    /** File shadow `i` in the index (which must have room). */
+    void indexPtbShadow(std::uint32_t i);
+
+    // PTB shadows in first-fetch order, found through an open-addressed
+    // index of their positions (linear probing, at most half full,
+    // never deleted from).  ptbView() runs on every page walk, so this
+    // is one hash and a short probe.  A deque grows without copying,
+    // which keeps peak memory at about one entry per embedded PTB.
+    static constexpr std::uint32_t noShadow = ~std::uint32_t{0};
+    std::deque<PtbShadow> ptbShadows_;
+    std::vector<std::uint32_t> ptbShadowIndex_;
 
     /** Migration buffer: completion time of each in-flight transfer. */
     std::vector<Tick> migrationSlots_;

@@ -82,20 +82,6 @@ PhysMem::allocPageTablePage()
     return ppn;
 }
 
-PtPage &
-PhysMem::ptPage(Ppn ppn)
-{
-    panicIf(!isPageTablePage(ppn), "not a page-table page");
-    return *ptStore_[ppn];
-}
-
-const PtPage &
-PhysMem::ptPage(Ppn ppn) const
-{
-    panicIf(!isPageTablePage(ppn), "not a page-table page");
-    return *ptStore_[ppn];
-}
-
 std::uint64_t
 PhysMem::readQword(Addr paddr) const
 {

@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "vm/pte.hh"
@@ -76,9 +77,21 @@ class PhysMem : public Stated
         return ppn < ptStore_.size() && ptStore_[ppn] != nullptr;
     }
 
-    /** Backing store of a page-table page (must be registered). */
-    PtPage &ptPage(Ppn ppn);
-    const PtPage &ptPage(Ppn ppn) const;
+    /** Backing store of a page-table page (must be registered);
+     * inline because every page-walk step reads through it. */
+    PtPage &
+    ptPage(Ppn ppn)
+    {
+        panicIf(!isPageTablePage(ppn), "not a page-table page");
+        return *ptStore_[ppn];
+    }
+
+    const PtPage &
+    ptPage(Ppn ppn) const
+    {
+        panicIf(!isPageTablePage(ppn), "not a page-table page");
+        return *ptStore_[ppn];
+    }
 
     /** Read / write an 8B PTE by physical address (PT pages only). */
     std::uint64_t readQword(Addr paddr) const;

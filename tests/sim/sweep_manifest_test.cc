@@ -20,6 +20,7 @@
 #include "common/status.hh"
 #include "common/versioned_file.hh"
 #include "sim/sweep_manifest.hh"
+#include "tmcc/cte_buffer.hh"
 
 namespace tmcc
 {
@@ -480,6 +481,34 @@ TEST_F(SweepManifestTest, ConfigRejectsBadKernelByte)
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::Corruption);
     EXPECT_NE(s.message().find("kernel mode"), std::string::npos);
+}
+
+TEST_F(SweepManifestTest, ConfigRejectsImpossibleCteBufferSize)
+{
+    // A shard spec or queue request must not be able to build a
+    // CteBuffer with no slots or an absurd number of them.
+    for (unsigned entries : {0u, CteBuffer::maxEntries + 1, ~0u}) {
+        SimConfig cfg = fancyConfig();
+        cfg.cteBufferEntries = entries;
+        ByteWriter w;
+        serializeSimConfig(w, cfg);
+        ByteReader r(w.buffer());
+        SimConfig back;
+        const Status s = deserializeSimConfig(r, back);
+        ASSERT_FALSE(s.ok()) << entries;
+        EXPECT_EQ(s.code(), StatusCode::Corruption);
+        EXPECT_NE(s.message().find("cteBufferEntries"), std::string::npos);
+    }
+    for (unsigned entries : {1u, CteBuffer::maxEntries}) {
+        SimConfig cfg = fancyConfig();
+        cfg.cteBufferEntries = entries;
+        ByteWriter w;
+        serializeSimConfig(w, cfg);
+        ByteReader r(w.buffer());
+        SimConfig back;
+        ASSERT_TRUE(deserializeSimConfig(r, back).ok()) << entries;
+        EXPECT_EQ(back.cteBufferEntries, entries);
+    }
 }
 
 TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
