@@ -10,8 +10,8 @@
  * / LRU / flag arrays), each set padded to the SIMD vector width, so
  * the tag probe and the LRU victim scan are whole-set vector compares
  * (common/simd.hh) that never straddle sets; the hot methods are
- * defined inline here so both the scalar and the batched access
- * kernels can fold them into their loops.  Every probe decision is
+ * defined inline here so the access engine can fold them into its
+ * loop.  Every probe decision is
  * made by the simd::Ops primitives, whose scalar fallback is the
  * oracle — SIMD and scalar builds are bit-identical by construction
  * (tests/cache/probe_property_test.cc).
@@ -220,19 +220,6 @@ class Cache : public Stated
     {
         if (const std::size_t w = find(addr); w != npos)
             flags_[w] |= Dirty;
-    }
-
-    /**
-     * Hint the hardware prefetcher at this address's set metadata (tag
-     * + LRU rows).  The batched kernel calls this for upcoming ring
-     * slots so the probe's loads are in flight before the probe runs.
-     */
-    void
-    prefetchSet(Addr addr) const
-    {
-        const std::size_t base = setIndex(addr) * wstride_;
-        simd::prefetchRow(&tags_[base]);
-        simd::prefetchRow(&lru_[base]);
     }
 
     /** Test-only view of one way's metadata (way < associativity). */

@@ -17,12 +17,12 @@
  * it").
  *
  * The access/fill/prefetch paths are member templates parameterized on
- * the outcome/sink type: the public vector-based API (used by the
- * scalar oracle kernel) instantiates them with AccessOutcome, while the
- * batched kernel instantiates them with fixed-capacity SmallVec sinks
- * so the whole path inlines without allocation.  Both instantiations
- * execute the same statements in the same order, which is what makes
- * the two kernels bit-identical.
+ * the outcome/sink type: the simulated access path (sim/access_path.hh)
+ * instantiates them with fixed-capacity SmallVec sinks so the whole
+ * path inlines without allocation, while the out-of-line vector-based
+ * API (access/fill/prefetchLookup, used by tests and the perfbench
+ * layer replay) instantiates them with AccessOutcome.  Both execute
+ * the same statements in the same order.
  */
 
 #ifndef TMCC_CACHE_HIERARCHY_HH
@@ -65,7 +65,7 @@ struct HierarchyConfig
 };
 
 /**
- * Fixed-capacity inline vector for the batched kernel's outcome sinks:
+ * Fixed-capacity inline vector for the access engine's outcome sinks:
  * no heap traffic on the hot path, and overflowing the static bound is
  * a simulator bug (the bounds are derived from the maximum writeback /
  * prefetch fan-out of one access).
@@ -109,7 +109,7 @@ struct AccessOutcome
 };
 
 /**
- * AccessOutcome shape with inline storage for the batched kernel.  One
+ * AccessOutcome shape with inline storage for the access engine.  One
  * access spills at most one L3 victim per fill plus the prefetch-fill
  * spills (bounded well under 4); prefetch proposals are bounded by
  * next-line (1) + stride degree 2 at L1 and next-line (1) + stride

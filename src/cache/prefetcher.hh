@@ -9,7 +9,7 @@
  * prefetcher disables itself for a window.
  *
  * The observe paths are `observeT<Sink>` member templates defined
- * inline so the measured-loop kernels can append into fixed-capacity
+ * inline so the access engine can append into fixed-capacity
  * sinks without virtual dispatch; the virtual observe() is a thin
  * wrapper kept for generic callers.  The stride streams live in flat
  * arrays (no hashing) — with unique lastUse stamps the LRU victim is

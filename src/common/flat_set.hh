@@ -1,7 +1,7 @@
 /**
  * @file
  * Open-addressing hash set for hot-loop membership tracking.  The
- * measured kernel queries/updates per-block bookkeeping (e.g. "was
+ * measured loop queries/updates per-block bookkeeping (e.g. "was
  * this block prefetched?") on every access; std::unordered_set's
  * node allocation and pointer chasing made exactly this bookkeeping
  * one of the top entries in the measured-loop profile.

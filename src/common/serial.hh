@@ -26,6 +26,21 @@
 namespace tmcc
 {
 
+/**
+ * FNV-1a-64 over a byte range: a stable, non-cryptographic digest
+ * (sweep grid keys, checkpoint file names, run-identity digests).
+ */
+inline std::uint64_t
+fnv1a(const std::uint8_t *data, std::size_t n)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= data[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
 /** Append-only little-endian encoder. */
 class ByteWriter
 {

@@ -638,17 +638,6 @@ padWays(unsigned assoc)
     return (assoc + Active::lanes - 1) / Active::lanes * Active::lanes;
 }
 
-/** Hint the prefetcher at the metadata row starting at `p`. */
-inline void
-prefetchRow(const void *p)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(p, 0 /* read */, 3 /* high locality */);
-#else
-    (void)p;
-#endif
-}
-
 } // namespace tmcc::simd
 
 #endif // TMCC_COMMON_SIMD_HH

@@ -12,7 +12,7 @@
  * Way metadata is structure-of-arrays (contiguous tag / LRU arrays,
  * sets padded to the SIMD vector width; invalid ways carry a sentinel
  * tag no real CTE block number can take) with hot methods defined
- * inline, so the MC-side lookup in the measured kernels is a whole-set
+ * inline, so the MC-side lookup in the measured loop is a whole-set
  * vector compare through the common/simd.hh probe primitives — same
  * engine, and same bit-identical-to-scalar contract, as Cache and Tlb.
  */

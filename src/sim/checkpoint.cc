@@ -17,18 +17,6 @@ namespace
 // "TMCCCKPT": setup-checkpoint container magic.
 constexpr char fileMagic[8] = {'T', 'M', 'C', 'C', 'C', 'K', 'P', 'T'};
 
-/** FNV-1a, for stable checkpoint file names (key verified inside). */
-std::uint64_t
-fnv1a(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 void
 serializePhysMem(ByteWriter &w, const PhysMemState &st)
 {
@@ -224,8 +212,12 @@ std::string
 SetupCheckpoint::fileNameFor(const std::string &key)
 {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "tmcc-%016llx.ckpt",
-                  static_cast<unsigned long long>(fnv1a(key)));
+    // A stable file name; the key itself is verified inside the file.
+    std::snprintf(
+        buf, sizeof(buf), "tmcc-%016llx.ckpt",
+        static_cast<unsigned long long>(fnv1a(
+            reinterpret_cast<const std::uint8_t *>(key.data()),
+            key.size())));
     return buf;
 }
 

@@ -16,17 +16,6 @@ constexpr char specMagic[8] = {'T', 'M', 'C', 'C', 'S', 'P', 'E', 'C'};
 constexpr char resultMagic[8] = {'T', 'M', 'C', 'C', 'S', 'H', 'R', 'D'};
 constexpr char manifestMagic[8] = {'T', 'M', 'C', 'C', 'S', 'W', 'P', 'M'};
 
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t n)
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ULL;
-    }
-    return h;
-}
-
 void
 serializeIndices(ByteWriter &w, const std::vector<std::uint64_t> &idx)
 {
@@ -230,8 +219,7 @@ serializeSimConfig(ByteWriter &w, const SimConfig &cfg)
     w.u64(cfg.measureAccesses);
     w.u64(cfg.statsInterval);
 
-    // v2: execution kernel + interval-sampling geometry.
-    w.u8(static_cast<std::uint8_t>(cfg.kernel));
+    // v2: interval-sampling geometry.
     w.u64(cfg.sampleWindows);
     w.u64(cfg.sampleWindowAccesses);
     w.u64(cfg.sampleWarmAccesses);
@@ -345,10 +333,6 @@ deserializeSimConfig(ByteReader &r, SimConfig &cfg)
     cfg.measureAccesses = r.u64();
     cfg.statsInterval = r.u64();
 
-    const std::uint8_t kernel = r.u8();
-    if (kernel > static_cast<std::uint8_t>(KernelMode::Batch))
-        return Status::corruption("SimConfig kernel mode out of range");
-    cfg.kernel = static_cast<KernelMode>(kernel);
     cfg.sampleWindows = r.u64();
     cfg.sampleWindowAccesses = r.u64();
     cfg.sampleWarmAccesses = r.u64();

@@ -54,7 +54,8 @@ struct ShardSpec
 {
     // v2: SimConfig gained the kernel mode + sampling geometry.
     // v3: SimConfig gained the multi-tenant knobs.
-    static constexpr std::uint32_t formatVersion = 3;
+    // v4: SimConfig lost the kernel-mode byte (one access engine).
+    static constexpr std::uint32_t formatVersion = 4;
 
     std::string gridKey;
     std::uint32_t shardId = 0;

@@ -502,28 +502,31 @@ System::collectPtbCtes(unsigned core, Addr ptb_addr)
     }
 }
 
+template <bool Tracing>
 void
-System::runWarm(std::uint64_t per_core)
+System::runWarmImpl(std::uint64_t per_core)
 {
-    if (cfg_.kernel == KernelMode::Batch) {
-        SystemKernel::warm(*this, per_core);
-        return;
-    }
     for (std::uint64_t i = 0; i < per_core; ++i) {
         for (unsigned c = 0; c < cfg_.cores; ++c) {
             const MemAccess a = workloads_[c]->next();
-            AccessEngine<ScalarTraits>::step(*this, c, a, false);
+            AccessEngine<Tracing>::step(*this, c, a, false);
         }
     }
 }
 
 void
-System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
+System::runWarm(std::uint64_t per_core)
 {
-    if (cfg_.kernel == KernelMode::Batch) {
-        SystemKernel::measured(*this, quota, use_ring);
-        return;
-    }
+    if (Tracer::active() != nullptr)
+        runWarmImpl<true>(per_core);
+    else
+        runWarmImpl<false>(per_core);
+}
+
+template <bool Tracing>
+void
+System::runMeasuredImpl(std::uint64_t quota)
+{
     // Interleave cores by local time.
     bool running = true;
     while (running) {
@@ -532,7 +535,7 @@ System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
             if (cores_[c].now < cores_[next].now)
                 next = c;
         const MemAccess a = workloads_[next]->next();
-        AccessEngine<ScalarTraits>::step(*this, next, a, true);
+        AccessEngine<Tracing>::step(*this, next, a, true);
         if (cfg_.statsInterval > 0 &&
             result_.accesses >= nextEpochAt_) {
             snapshotEpoch(cores_[next].now);
@@ -546,6 +549,15 @@ System::runMeasuredLoop(std::uint64_t quota, bool use_ring)
 }
 
 void
+System::runMeasuredLoop(std::uint64_t quota)
+{
+    if (Tracer::active() != nullptr)
+        runMeasuredImpl<true>(quota);
+    else
+        runMeasuredImpl<false>(quota);
+}
+
+void
 System::fastForward(std::uint64_t per_core)
 {
     if (per_core == 0)
@@ -553,10 +565,6 @@ System::fastForward(std::uint64_t per_core)
     // Detailed windows between fast-forward legs may have evicted the
     // blocks the MRU filters cache; start every leg cold.
     ffFilter_.assign(cfg_.cores, FfFilter{});
-    if (cfg_.kernel == KernelMode::Batch) {
-        SystemKernel::fastForward(*this, per_core);
-        return;
-    }
     for (std::uint64_t i = 0; i < per_core; ++i) {
         for (unsigned c = 0; c < cfg_.cores; ++c) {
             const MemAccess a = workloads_[c]->next();
@@ -790,7 +798,7 @@ System::measureExact()
         nextEpochAt_ = cfg_.statsInterval;
     }
 
-    runMeasuredLoop(cfg_.measureAccesses, true);
+    runMeasuredLoop(cfg_.measureAccesses);
 
     Tick end = 0;
     for (unsigned c = 0; c < cfg_.cores; ++c)
@@ -973,7 +981,7 @@ System::measureSampled()
             measureStart_ = wstart;
 
         const WindowSnap before = snap();
-        runMeasuredLoop(w, false);
+        runMeasuredLoop(w);
 
         Tick wend = 0;
         for (unsigned c = 0; c < cfg_.cores; ++c)

@@ -35,8 +35,7 @@
 namespace tmcc
 {
 
-template <class Traits> struct AccessEngine;
-struct SystemKernel;
+template <bool Tracing> struct AccessEngine;
 
 /** One simulated machine + workload. */
 class System
@@ -127,28 +126,24 @@ class System
     /** Host frame backing a (possibly guest) page number. */
     Ppn dataFrame(Ppn ppn) const;
 
-    // The per-access pipeline lives in AccessEngine<Traits>
-    // (sim/access_path.hh), instantiated once with scalar mechanics
-    // (the oracle) and once with batched mechanics; SystemKernel
-    // (sim/kernel_batch.cc) holds the batched drivers.  Both need the
-    // private state.
-    template <class Traits> friend struct AccessEngine;
-    friend struct SystemKernel;
+    // The per-access pipeline lives in AccessEngine<Tracing>
+    // (sim/access_path.hh) and needs the private state.
+    template <bool Tracing> friend struct AccessEngine;
 
     /** Reject invalid --sample / --stats-interval combinations. */
     void validateRunConfig() const;
 
     /** Run `per_core` detailed warm-up accesses on every core. */
     void runWarm(std::uint64_t per_core);
+    template <bool Tracing> void runWarmImpl(std::uint64_t per_core);
 
     /**
      * The measured loop: interleave cores by local time until every
      * core has retired `quota` measured accesses, snapshotting epochs
-     * when configured.  `use_ring` lets the batched kernel refill its
-     * access ring in blocks; sampled windows pass false so no access
-     * beyond the window is prefetched from the workload stream.
+     * when configured.
      */
-    void runMeasuredLoop(std::uint64_t quota, bool use_ring);
+    void runMeasuredLoop(std::uint64_t quota);
+    template <bool Tracing> void runMeasuredImpl(std::uint64_t quota);
 
     /** Functionally fast-forward `per_core` accesses per core. */
     void fastForward(std::uint64_t per_core);
@@ -239,26 +234,6 @@ class System
     StatDump prevEpoch_;
     std::uint64_t prevEpochAccesses_ = 0;
     std::uint64_t nextEpochAt_ = 0;
-};
-
-/**
- * Drivers of the batched kernel (`--kernel=batch`): ring-buffered
- * workload fetch feeding AccessEngine<BatchTraits>.  Defined in
- * sim/kernel_batch.cc; System dispatches here when configured.
- */
-struct SystemKernel
-{
-    static void warm(System &sys, std::uint64_t per_core);
-    static void measured(System &sys, std::uint64_t quota,
-                         bool use_ring);
-    static void fastForward(System &sys, std::uint64_t per_core);
-
-  private:
-    template <bool Tracing>
-    static void warmImpl(System &sys, std::uint64_t per_core);
-    template <bool Tracing, bool Epochs>
-    static void measuredImpl(System &sys, std::uint64_t quota,
-                             std::size_t refill);
 };
 
 } // namespace tmcc

@@ -69,24 +69,6 @@ class Tlb : public Stated
 
     void flush();
 
-    /**
-     * Hint the hardware prefetcher at the set(s) `vaddr` will probe.
-     * The batched kernel calls this for upcoming ring slots so the
-     * key/LRU rows are in flight before the lookup runs.
-     */
-    void
-    prefetchSet(Addr vaddr) const
-    {
-        const Vpn vpn = pageNumber(vaddr);
-        const std::size_t base = (vpn & (sets_ - 1)) * wstride_;
-        simd::prefetchRow(&keys_[base]);
-        simd::prefetchRow(&lru_[base]);
-        if (anyHuge_) {
-            const Vpn hkey = vpn & ~((hugePageSize / pageSize) - 1);
-            simd::prefetchRow(&keys_[(hkey & (sets_ - 1)) * wstride_]);
-        }
-    }
-
     /** Test-only view of one entry's metadata (way < associativity). */
     struct WayView
     {

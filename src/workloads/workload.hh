@@ -60,19 +60,6 @@ class Workload
     virtual MemAccess next() = 0;
 
     /**
-     * Produce the next `n` accesses into `out` (the batched kernel's
-     * ring refill).  The default simply drains next(), so every engine
-     * keeps one canonical stream; engines may override with a fused
-     * generator as long as the stream stays identical.
-     */
-    virtual void
-    nextBatch(MemAccess *out, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
-
-    /**
      * Serialize the engine's mutable position — RNG streams, cursors,
      * pending queues — for setup-phase checkpoints.  Region layout and
      * other constructor-derived state is not saved: loadState() must be

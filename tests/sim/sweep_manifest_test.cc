@@ -93,7 +93,6 @@ fancyConfig()
     cfg.warmAccesses = 222;
     cfg.measureAccesses = 333;
     cfg.statsInterval = 44;
-    cfg.kernel = KernelMode::Batch;
     cfg.sampleWindows = 5;
     cfg.sampleWindowAccesses = 50;
     cfg.sampleWarmAccesses = 10;
@@ -181,7 +180,6 @@ expectConfigEqual(const SimConfig &a, const SimConfig &b)
     EXPECT_EQ(a.arch, b.arch);
     EXPECT_EQ(a.osMc.faults.ml2BitFlipRate, b.osMc.faults.ml2BitFlipRate);
     EXPECT_EQ(a.statsInterval, b.statsInterval);
-    EXPECT_EQ(a.kernel, b.kernel);
     EXPECT_EQ(a.sampleWindows, b.sampleWindows);
     EXPECT_EQ(a.sampleWindowAccesses, b.sampleWindowAccesses);
     EXPECT_EQ(a.sampleWarmAccesses, b.sampleWarmAccesses);
@@ -465,24 +463,6 @@ TEST_F(SweepManifestTest, FutureFormatVersionIsCorruption)
               std::string::npos);
 }
 
-TEST_F(SweepManifestTest, ConfigRejectsBadKernelByte)
-{
-    SimConfig cfg = fancyConfig();
-    ByteWriter w;
-    serializeSimConfig(w, cfg);
-    // The kernel byte is the first v2 field: 25 bytes (u8 + 3 x u64)
-    // of v2 tail plus 20 bytes (u32 + 2 x f64) of v3 tenant knobs from
-    // the end of the config payload.
-    std::vector<std::uint8_t> bytes = w.buffer();
-    bytes[bytes.size() - 45] = 0x7f;
-    ByteReader r(bytes);
-    SimConfig back;
-    const Status s = deserializeSimConfig(r, back);
-    ASSERT_FALSE(s.ok());
-    EXPECT_EQ(s.code(), StatusCode::Corruption);
-    EXPECT_NE(s.message().find("kernel mode"), std::string::npos);
-}
-
 TEST_F(SweepManifestTest, ConfigRejectsImpossibleCteBufferSize)
 {
     // A shard spec or queue request must not be able to build a
@@ -513,7 +493,7 @@ TEST_F(SweepManifestTest, ConfigRejectsImpossibleCteBufferSize)
 
 TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)
 {
-    // A v1-era file (before the kernel/sampling fields) must be
+    // A v1-era file (before the sampling fields) must be
     // rejected by the version gate with a clear message — not parsed
     // as garbage.
     ShardResultFile file;
