@@ -34,7 +34,6 @@
 #include "common/log.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
 #include "sim/sweep_queue.hh"
 #include "sim/system.hh"
 
@@ -182,26 +181,8 @@ class BenchReport
         std::fprintf(f, "  \"ckpt_rejected\": %llu,\n",
                      static_cast<unsigned long long>(
                          ckpt.rejectedFiles));
-        // Multi-process sweep supervision counters (all zero unless
-        // this process drove a sharded sweep via ShardRunner).
-        const ShardRunner::Totals shardTotals = ShardRunner::totals();
-        std::fprintf(f, "  \"sweeps\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         shardTotals.sweeps));
-        std::fprintf(f, "  \"shard_runs\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         shardTotals.shardRuns));
-        std::fprintf(f, "  \"shard_retries\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         shardTotals.retries));
-        std::fprintf(f, "  \"shard_failures\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         shardTotals.failedShards));
-        std::fprintf(f, "  \"resumed_shards\": %llu,\n",
-                     static_cast<unsigned long long>(
-                         shardTotals.resumedShards));
-        // Lease-based work-queue dispatch counters (all zero unless
-        // this process enqueued a sweep via QueueClient).
+        // Multi-process sweep counters (all zero unless this process
+        // ran a fork- or queue-dispatched sweep via QueueClient).
         const QueueClient::Totals queueTotals = QueueClient::totals();
         std::fprintf(f, "  \"queue_sweeps\": %llu,\n",
                      static_cast<unsigned long long>(

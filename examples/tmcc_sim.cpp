@@ -52,30 +52,27 @@
  *                         TMCC_JOBS or all cores)
  *   --dispatch MODE       how --sweep executes (docs/SWEEP.md):
  *                           thread  in-process SimRunner (default)
- *                           fork    fault-tolerant forked worker
- *                                   processes (the --shards executor)
- *                           queue   enqueue on a lease-based work
- *                                   queue served by tmcc_simd daemons
+ *                           fork    the lease queue in a private
+ *                                   directory, served by local
+ *                                   `--serve` worker processes
+ *                           queue   enqueue on a shared lease queue
+ *                                   served by `--serve` daemons
  *   --shards N            shard count for fork/queue dispatch (env:
  *                         TMCC_SHARDS; unset/0 with --dispatch=fork|
  *                         queue defaults to hardware_concurrency
  *                         clamped to [1,64]; --shards N alone implies
- *                         --dispatch=fork for back-compat)
+ *                         --dispatch=fork)
  *   --queue-dir DIR       queue directory for --dispatch=queue (env:
  *                         TMCC_QUEUE_DIR; default tmcc-queue); shared
- *                         with the tmcc_simd workers serving it
+ *                         with the daemons serving it
  *   --queue-poll SEC      result-poll interval (default 0.5)
  *   --queue-timeout SEC   give up waiting for workers after SEC
  *                         (default: wait forever)
- *   --sweep-dir DIR       sweep directory for the manifest and shard
- *                         files; reuse it to resume an interrupted
- *                         sweep (default: tmcc-sweep-<gridkey8>)
- *   --shard-timeout SEC   per-attempt wall-clock watchdog; a worker
- *                         exceeding it is SIGKILLed and the shard
- *                         retried (default: none)
- *   --shard-attempts N    attempt cap per shard before it is marked
- *                         failed in the manifest (default: 3)
- *   --shard-spec FILE     internal: run as a sweep shard worker
+ *   --sweep-dir DIR       fork: the private queue directory (default
+ *                         tmcc-sweep-<gridkey8>); queue: the sweep's
+ *                         subdirectory name.  Reuse it to resume.
+ *   --serve DIR [...]     run as a sweep daemon serving queue DIR
+ *                         (options in src/sim/sweep_daemon.hh)
  *   --ckpt-dir DIR        persist setup checkpoints to DIR and restore
  *                         from them on later runs (env: TMCC_CKPT_DIR;
  *                         TMCC_CKPT=0 disables checkpointing entirely)
@@ -84,6 +81,7 @@
  * A recorded trace replays as a workload: --workload trace:FILE
  */
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -93,11 +91,12 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/trace.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
-#include "sim/shard_runner.hh"
+#include "sim/sweep_daemon.hh"
 #include "sim/sweep_manifest.hh"
 #include "sim/sweep_queue.hh"
 #include "sim/system.hh"
@@ -177,82 +176,6 @@ sweepSet(const std::string &set)
     return entries;
 }
 
-std::uint64_t
-parsePositiveCount(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (s[0] == '\0' || *end != '\0' || v <= 0) {
-        std::fprintf(stderr, "%s must be a positive integer, got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-std::uint64_t
-parseNonNegativeCount(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (s[0] == '\0' || *end != '\0' || v < 0) {
-        std::fprintf(stderr, "%s must be a non-negative integer, got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-/** Strict [0, 1] rate for the --fault-* flags: std::atof would turn
- * garbage into a silent 0.0 (faults off), which is the worst possible
- * failure mode for a fault-injection campaign. */
-double
-parseRate(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v < 0.0 ||
-        v > 1.0) {
-        std::fprintf(stderr, "%s must be a rate in [0, 1], got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return v;
-}
-
-/** Strict positive real for --tenant-zipf: a silently-zero alpha would
- * trip the workload's fatal check with a worse message. */
-double
-parsePositiveReal(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-        std::fprintf(stderr, "%s must be a positive number, got "
-                             "\"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return v;
-}
-
-double
-parsePositiveSeconds(const char *s, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    if (s[0] == '\0' || *end != '\0' || !std::isfinite(v) || v <= 0.0) {
-        std::fprintf(stderr, "%s must be a positive number of seconds, "
-                             "got \"%s\"\n",
-                     what, s);
-        std::exit(1);
-    }
-    return v;
-}
-
 /** The path workers re-exec: /proc/self/exe when resolvable (robust
  * against a relative argv[0] + chdir), else argv[0]. */
 std::string
@@ -330,17 +253,20 @@ main(int argc, char **argv)
     std::string tenant_flag; //!< last --tenant* flag seen (validation)
     unsigned jobs = 0;
 
-    // Sharded-sweep supervisor knobs (docs/SWEEP.md).
+    // Worker mode: the daemon has its own flags.
+    for (int i = 1; i < argc; ++i)
+        if (std::strncmp(argv[i], "--serve", 7) == 0 &&
+            (argv[i][7] == '\0' || argv[i][7] == '='))
+            return sweepDaemonMain(argc, argv);
+
+    // Multi-process sweep knobs (docs/SWEEP.md).
     unsigned shards = 0;
     bool shards_flag = false; //!< --shards given on the command line
     std::string sweep_dir;
-    double shard_timeout = 0.0;
-    unsigned shard_attempts = 3;
     if (const char *env = std::getenv("TMCC_SHARDS"); env && *env)
         shards = static_cast<unsigned>(
             parseNonNegativeCount(env, "TMCC_SHARDS"));
 
-    // Queue-dispatch knobs (docs/SWEEP.md phase 2).
     std::string dispatch;
     std::string queue_dir = "tmcc-queue";
     double queue_poll = 0.5;
@@ -375,26 +301,27 @@ main(int argc, char **argv)
         } else if (arg == "--arch") {
             cfg.arch = archByName(value());
         } else if (arg == "--scale") {
-            cfg.scale = std::atof(value());
+            cfg.scale = parsePositiveReal(value(), "--scale");
             scale_set = true;
         } else if (arg == "--cores") {
-            cfg.cores = static_cast<unsigned>(std::atoi(value()));
+            cfg.cores = static_cast<unsigned>(
+                parsePositiveCount(value(), "--cores", UINT_MAX));
         } else if (arg == "--budget") {
-            cfg.dramBudgetFraction = std::atof(value());
+            cfg.dramBudgetFraction = parsePositiveReal(value(), "--budget");
         } else if (arg == "--huge") {
             cfg.hugePages = true;
         } else if (arg == "--no-prefetch") {
             cfg.hierarchy.prefetchers = false;
         } else if (arg == "--tlb") {
-            cfg.tlbEntries = static_cast<unsigned>(std::atoi(value()));
+            cfg.tlbEntries = static_cast<unsigned>(
+                parsePositiveCount(value(), "--tlb", UINT_MAX));
         } else if (arg == "--cte-cache") {
-            cfg.osMc.cteCacheBytes =
-                static_cast<std::size_t>(std::atoll(value()));
+            cfg.osMc.cteCacheBytes = static_cast<std::size_t>(
+                parseNonNegativeCount(value(), "--cte-cache"));
         } else if (arg == "--measure") {
-            cfg.measureAccesses =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            cfg.measureAccesses = parsePositiveCount(value(), "--measure");
         } else if (arg == "--seed") {
-            cfg.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            cfg.seed = parseNonNegativeCount(value(), "--seed");
         } else if (arg == "--fault-ml2") {
             cfg.osMc.faults.ml2BitFlipRate =
                 parseRate(value(), "--fault-ml2");
@@ -431,8 +358,8 @@ main(int argc, char **argv)
             stats_out = arg.substr(std::strlen("--stats-out="));
         } else if (arg == "--record") {
             const std::string path = value();
-            const auto n =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            const std::uint64_t n =
+                parsePositiveCount(value(), "--record count");
             auto wl = makeWorkload(cfg.workload, 0, cfg.cores,
                                    cfg.scale, cfg.seed);
             TraceRecorder::record(*wl, path, n);
@@ -441,15 +368,8 @@ main(int argc, char **argv)
                         cfg.workload.c_str(), path.c_str());
             return 0;
         } else if (arg == "--tenants") {
-            const std::uint64_t v =
-                parsePositiveCount(value(), "--tenants");
-            if (v > 1024) {
-                std::fprintf(stderr,
-                             "--tenants caps at 1024, got %llu\n",
-                             static_cast<unsigned long long>(v));
-                return 1;
-            }
-            cfg.tenants = static_cast<unsigned>(v);
+            cfg.tenants = static_cast<unsigned>(
+                parsePositiveCount(value(), "--tenants", 1024));
             tenant_flag = "--tenants";
         } else if (arg == "--tenant-churn") {
             cfg.tenantChurn = parseRate(value(), "--tenant-churn");
@@ -473,35 +393,19 @@ main(int argc, char **argv)
         } else if (arg.rfind("--queue-dir=", 0) == 0) {
             queue_dir = arg.substr(std::strlen("--queue-dir="));
         } else if (arg == "--queue-poll") {
-            queue_poll = parsePositiveSeconds(value(), "--queue-poll");
+            queue_poll = parsePositiveReal(value(), "--queue-poll");
         } else if (arg == "--queue-timeout") {
-            queue_timeout =
-                parsePositiveSeconds(value(), "--queue-timeout");
+            queue_timeout = parsePositiveReal(value(), "--queue-timeout");
         } else if (arg == "--sweep-dir") {
             sweep_dir = value();
-        } else if (arg == "--shard-timeout") {
-            shard_timeout =
-                parsePositiveSeconds(value(), "--shard-timeout");
-        } else if (arg == "--shard-attempts") {
-            shard_attempts = static_cast<unsigned>(
-                parsePositiveCount(value(), "--shard-attempts"));
-        } else if (arg == "--shard-spec") {
-            // Sweep worker mode: run the shard and publish its result
-            // file; the supervisor interprets our exit status.
-            return ShardRunner::workerMain(value());
         } else if (arg == "--ckpt-dir") {
             CheckpointStore::global().setDiskDir(value());
         } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
             CheckpointStore::global().setDiskDir(
                 arg.substr(std::strlen("--ckpt-dir=")));
         } else if (arg == "--jobs") {
-            const int v = std::atoi(value());
-            if (v <= 0) {
-                std::fprintf(stderr,
-                             "--jobs wants a positive integer\n");
-                return 1;
-            }
-            jobs = static_cast<unsigned>(v);
+            jobs = static_cast<unsigned>(
+                parsePositiveCount(value(), "--jobs", UINT_MAX));
         } else if (arg == "--list") {
             listWorkloads();
             return 0;
@@ -562,8 +466,7 @@ main(int argc, char **argv)
     };
     Dispatch dmode = Dispatch::Thread;
     if (dispatch.empty()) {
-        // Back-compat: --shards N alone has always meant the forked
-        // multi-process executor.
+        // --shards N alone means the local multi-process executor.
         dmode = shards > 0 ? Dispatch::Fork : Dispatch::Thread;
     } else if (dispatch == "thread") {
         if (shards_flag && shards > 0) {
@@ -615,65 +518,47 @@ main(int argc, char **argv)
         std::vector<bool> valid(configs.size(), true);
         bool sweep_ok = true;
 
-        if (dmode == Dispatch::Fork) {
-            ShardOptions so;
-            so.shards = shards;
-            so.workerJobs = jobs ? jobs : 1;
-            so.timeoutSeconds = shard_timeout;
-            so.maxAttempts = shard_attempts;
-            so.workerPath = selfExePath(argv[0]);
-            so.sweepDir =
-                !sweep_dir.empty()
-                    ? sweep_dir
-                    : "tmcc-sweep-" + sweepGridKey(configs).substr(0, 8);
-            std::printf("sweeping %zu entries (%s) across %u worker "
-                        "processes, arch %s, sweep dir %s\n",
-                        configs.size(), sweep.c_str(), so.shards,
-                        arch_label, so.sweepDir.c_str());
-            ShardRunner runner(so);
-            SweepOutcome outcome = runner.run(configs);
-            results = std::move(outcome.results);
-            valid = outcome.resultValid;
-            sweep_ok = outcome.ok();
-            std::printf("[sweep] %u/%zu shards done (%u resumed, %u "
-                        "retries, %u failed)\n",
-                        outcome.completedShards, outcome.shards.size(),
-                        outcome.resumedShards, outcome.retries,
-                        outcome.failedShards);
-            for (const auto &shard : outcome.shards)
-                if (shard.state == ShardState::Failed)
-                    std::fprintf(stderr,
-                                 "[sweep] shard %u FAILED after %u "
-                                 "attempts: %s\n",
-                                 shard.id, shard.attempts,
-                                 shard.lastError.c_str());
-        } else if (dmode == Dispatch::Queue) {
+        if (dmode != Dispatch::Thread) {
+            const bool local = dmode == Dispatch::Fork;
             QueueOptions qo;
             qo.queueDir = queue_dir;
             qo.sweepName = sweep_dir; // subdirectory name when set
+            if (local) {
+                // A private queue that only our own workers serve.
+                qo.queueDir = !sweep_dir.empty()
+                                  ? sweep_dir
+                                  : "tmcc-sweep-" +
+                                        sweepGridKey(configs).substr(0, 8);
+                qo.sweepName.clear();
+            }
             qo.shards = shards;
             qo.workerJobs = jobs ? jobs : 1;
             qo.pollSeconds = queue_poll;
             qo.timeoutSeconds = queue_timeout;
-            std::printf("sweeping %zu entries (%s) via work queue %s "
+            std::printf("sweeping %zu entries (%s) via %s queue %s "
                         "(%u shards), arch %s\n",
                         configs.size(), sweep.c_str(),
-                        queue_dir.c_str(), shards, arch_label);
+                        local ? "local" : "work", qo.queueDir.c_str(),
+                        shards, arch_label);
             QueueClient client(qo);
-            SweepOutcome outcome = client.run(configs);
+            SweepOutcome outcome = client.run(
+                configs, local ? selfExePath(argv[0]) : std::string());
             results = std::move(outcome.results);
             valid = outcome.resultValid;
             sweep_ok = outcome.ok();
             std::printf("[sweep] %u/%zu shards merged (%u resumed, %u "
-                        "reclaimed, %u unfinished)\n",
+                        "reclaimed, %u failed)\n",
                         outcome.completedShards, outcome.shards.size(),
                         outcome.resumedShards, outcome.retries,
                         outcome.failedShards);
             for (const auto &shard : outcome.shards)
                 if (shard.state != ShardState::Done)
                     std::fprintf(stderr,
-                                 "[sweep] shard %u unfinished: %s\n",
-                                 shard.id, shard.lastError.c_str());
+                                 "[sweep] shard %u %s after %u "
+                                 "attempts: %s\n",
+                                 shard.id, shardStateName(shard.state),
+                                 shard.attempts,
+                                 shard.lastError.c_str());
         } else {
             SimRunner runner(jobs);
             std::printf("sweeping %zu entries (%s) on %u threads, "

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <set>
 #include <thread>
@@ -12,6 +14,7 @@
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "common/log.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
@@ -59,13 +62,22 @@ shardResultValid(const std::string &dir, const std::string &gridKey,
     return loaded.ok() && loaded.value().gridKey == gridKey;
 }
 
+SweepDaemon *signalledDaemon = nullptr;
+
+void
+onStopSignal(int)
+{
+    if (signalledDaemon)
+        signalledDaemon->requestStop(); // one atomic store
+}
+
 } // namespace
 
 void
 DaemonOptions::validate() const
 {
     fatalIf(queueDir.empty(),
-            "tmcc_simd needs a queue directory (--serve DIR)");
+            "the sweep daemon needs a queue directory (--serve DIR)");
     fatalIf(!std::isfinite(leaseSeconds) || leaseSeconds <= 0.0,
             "daemon lease must be a positive number of seconds");
     fatalIf(!std::isfinite(pollSeconds) || pollSeconds <= 0.0,
@@ -167,7 +179,8 @@ SweepDaemon::scanOnce(bool &idle)
             if (opts_.maxShards != 0 &&
                 shardsServed_.load() >= opts_.maxShards)
                 return served;
-            if (shardResultValid(dir, req.gridKey, shard))
+            if (shardResultValid(dir, req.gridKey, shard) ||
+                shardExhausted(dir, shard))
                 continue;
             idle = false; // work exists, even if someone else holds it
             served |= serveShard(dir, req, shard);
@@ -339,6 +352,54 @@ SweepDaemon::serveShard(const std::string &sweepDir,
                     opts_.workerId.c_str(), shardId, sweepDir.c_str(),
                     spec.configs.size());
     return true;
+}
+
+int
+sweepDaemonMain(int argc, char **argv)
+{
+    DaemonOptions opts;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        auto value = [&]() -> const char * {
+            fatalIf(i + 1 >= argc, arg + " needs a value");
+            return argv[++i];
+        };
+        if (arg == "--serve") {
+            opts.queueDir = value();
+        } else if (arg.rfind("--serve=", 0) == 0) {
+            opts.queueDir = arg.substr(std::strlen("--serve="));
+        } else if (arg == "--worker-id") {
+            opts.workerId = value();
+        } else if (arg == "--jobs") {
+            opts.jobs = static_cast<unsigned>(
+                parsePositiveCount(value(), "--jobs", UINT_MAX));
+        } else if (arg == "--lease") {
+            opts.leaseSeconds = parsePositiveReal(value(), "--lease");
+        } else if (arg == "--poll") {
+            opts.pollSeconds = parsePositiveReal(value(), "--poll");
+        } else if (arg == "--once") {
+            opts.once = true;
+        } else if (arg == "--max-shards") {
+            opts.maxShards = parsePositiveCount(value(), "--max-shards");
+        } else if (arg == "--ckpt-dir") {
+            CheckpointStore::global().setDiskDir(value());
+        } else if (arg == "--no-sweep-ckpt") {
+            opts.defaultCkptDir = false;
+        } else if (arg == "--quiet") {
+            opts.verbose = false;
+        } else {
+            fatal("unknown --serve option " + arg +
+                  " (see src/sim/sweep_daemon.hh)");
+        }
+    }
+
+    SweepDaemon daemon(opts); // fatal on out-of-contract options
+    signalledDaemon = &daemon;
+    std::signal(SIGINT, onStopSignal);
+    std::signal(SIGTERM, onStopSignal);
+    daemon.serve();
+    signalledDaemon = nullptr;
+    return 0;
 }
 
 } // namespace tmcc

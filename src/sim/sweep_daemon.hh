@@ -1,16 +1,17 @@
 /**
  * @file
  * SweepDaemon: the serving side of the lease-based sweep work queue
- * (sweep_queue.hh, docs/SWEEP.md phase 2), wrapped by the `tmcc_simd`
- * binary.
+ * (sweep_queue.hh, docs/SWEEP.md), run by `tmccsim --serve DIR` — by
+ * hand on any machine sharing the queue directory, or by a fork-dispatch
+ * client as its local workers.
  *
- * One long-running daemon process scans a queue directory for enqueued
- * sweeps (REQUEST.tmccq markers), claims pending shards through the
- * lease protocol, and runs them *in-process* through SimRunner.  That
- * is the whole point versus `--dispatch=fork`: one process serves many
- * shards and many sweeps, so binary startup, the memoized profile
- * library, and warm setup checkpoints are paid once per daemon instead
- * of once per shard.
+ * One daemon process scans a queue directory for enqueued sweeps
+ * (REQUEST.tmccq markers), claims pending shards through the lease
+ * protocol, and runs them *in-process* through SimRunner, so one
+ * process serves many shards and many sweeps: binary startup, the
+ * memoized profile library, and warm setup checkpoints are paid once
+ * per daemon instead of once per shard.  Shards whose claims are
+ * exhausted (kMaxShardAttempts) count as finished.
  *
  * While a shard runs, a heartbeat thread renews its claim every
  * leaseSeconds/3; if renewal discovers the lease was reclaimed (the
@@ -18,7 +19,7 @@
  * publishing.  Configs run one at a time, and after each the daemon
  * streams a ShardProgress file for the enqueuing client.
  *
- * Failure-injection hook for tests/CI (format as in shard_runner.hh):
+ * Failure-injection hook for tests/CI:
  *   TMCC_QUEUE_TEST_KILL=<shard>@<attempt|*>   raise(SIGKILL)
  *     mid-shard — after the first config, before publishing — leaving
  *     a live claim behind for another daemon to reclaim after expiry.
@@ -46,7 +47,7 @@ struct DaemonOptions
     std::string workerId;
 
     /** SimRunner threads per shard; 0 = honour the enqueuer's
-     * advisory workerJobs from the request. */
+     * advisory workerJobs from the shard spec. */
     unsigned jobs = 0;
 
     /** Claim lease; a claim older than this is stale and reclaimable.
@@ -124,6 +125,28 @@ class SweepDaemon
     std::atomic<std::uint64_t> claimsLost_{0};
     std::atomic<std::uint64_t> leasesLost_{0};
 };
+
+/**
+ * `tmccsim --serve DIR [options]`: parse the daemon flags in argv
+ * (strictly; a bad value exits 1 naming the flag), serve until the
+ * queue drains (--once) or SIGINT/SIGTERM, and return the exit status.
+ *
+ *   --serve DIR       queue directory to serve (required)
+ *   --worker-id S     lease-holder identity (default <hostname>:<pid>)
+ *   --jobs N          SimRunner threads per shard (default: the
+ *                     enqueuer's advisory value)
+ *   --lease SEC       claim lease (default 15; must exceed cross-host
+ *                     clock skew comfortably)
+ *   --poll SEC        idle delay between queue scans (default 1)
+ *   --once            exit once every visible sweep is served
+ *   --max-shards N    exit after serving N shards
+ *   --ckpt-dir DIR    persist setup checkpoints to DIR (overrides the
+ *                     per-sweep default)
+ *   --no-sweep-ckpt   do not default the checkpoint dir to
+ *                     <sweep-dir>/ckpt
+ *   --quiet           no per-shard progress lines
+ */
+int sweepDaemonMain(int argc, char **argv);
 
 } // namespace tmcc
 

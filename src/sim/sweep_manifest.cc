@@ -495,9 +495,7 @@ ShardSpec::save(const std::string &path) const
     ByteWriter w;
     w.str(gridKey);
     w.u32(shardId);
-    w.u32(attempt);
     w.u32(workerJobs);
-    w.str(resultPath);
     serializeIndices(w, configIndices);
     w.u64(configs.size());
     for (const SimConfig &cfg : configs)
@@ -516,9 +514,7 @@ ShardSpec::load(const std::string &path)
     ShardSpec spec;
     spec.gridKey = r.str();
     spec.shardId = r.u32();
-    spec.attempt = r.u32();
     spec.workerJobs = r.u32();
-    spec.resultPath = r.str();
     TMCC_RETURN_IF_ERROR(
         deserializeIndices(r, spec.configIndices, "ShardSpec indices"));
     const std::uint64_t n = r.count(1);

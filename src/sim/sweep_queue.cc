@@ -2,22 +2,26 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <thread>
 
 #include <sys/stat.h>
+#include <sys/wait.h>
 #include <time.h>
+#include <unistd.h>
 
 #include "common/log.hh"
 #include "common/versioned_file.hh"
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
-#include "sim/sweep_manifest.hh"
 
 namespace tmcc
 {
@@ -55,6 +59,106 @@ serializeClaim(ByteWriter &w, const ShardClaim &c)
     w.u64(c.heartbeatSeq);
     w.f64(c.leaseSeconds);
 }
+
+/** A claim whose file was renewed within its lease. */
+bool
+claimLive(const std::string &path, const ShardClaim &c)
+{
+    const double age = shardClaimAgeSeconds(path);
+    return age >= 0.0 && age <= c.leaseSeconds;
+}
+
+/** Describe how a waitpid status ended. */
+std::string
+exitDescription(int status)
+{
+    if (WIFEXITED(status))
+        return "exit status " + std::to_string(WEXITSTATUS(status));
+    if (WIFSIGNALED(status))
+        return "killed by signal " + std::to_string(WTERMSIG(status));
+    return "wait status " + std::to_string(status);
+}
+
+/**
+ * Fork dispatch's workers: drain-once daemons exec'ed from a local
+ * binary.  Their lease is short because they share the client's clock
+ * and filesystem; a killed worker's shard is reclaimable in seconds.
+ */
+class LocalWorkers
+{
+  public:
+    LocalWorkers(const std::string &exe, const std::string &queueDir,
+                 unsigned maxLaunches)
+        : args_{exe, "--serve", queueDir, "--once", "--lease", "2",
+                "--poll", "0.1", "--quiet"},
+          maxLaunches_(maxLaunches)
+    {}
+
+    LocalWorkers(const LocalWorkers &) = delete;
+    LocalWorkers &operator=(const LocalWorkers &) = delete;
+
+    /** Stop every live worker.  Their shards are merged or given up
+     * by now; a killed worker loses nothing but a stale claim. */
+    ~LocalWorkers()
+    {
+        for (const pid_t pid : pids_) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, nullptr, 0);
+        }
+    }
+
+    /** Reap workers that have exited (call before merging, so the
+     * results of a worker that published and exited are seen). */
+    void
+    reap()
+    {
+        for (std::size_t i = 0; i < pids_.size();) {
+            int status = 0;
+            if (::waitpid(pids_[i], &status, WNOHANG) == pids_[i]) {
+                lastExit_ = exitDescription(status);
+                pids_[i] = pids_.back();
+                pids_.pop_back();
+            } else {
+                ++i;
+            }
+        }
+    }
+
+    /** Top the pool up to `wanted` live workers while the launch
+     * budget lasts; false when no worker is alive and none may be
+     * launched. */
+    bool
+    topUp(unsigned wanted)
+    {
+        std::vector<char *> argv;
+        for (std::string &a : args_)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+        while (pids_.size() < wanted && launches_ < maxLaunches_) {
+            const pid_t pid = ::fork();
+            fatalIf(pid < 0, "fork() failed for a local sweep worker");
+            if (pid == 0) {
+                ::execv(argv[0], argv.data());
+                std::fprintf(stderr, "exec %s failed: %s\n", argv[0],
+                             std::strerror(errno));
+                ::_exit(127);
+            }
+            pids_.push_back(pid);
+            ++launches_;
+        }
+        return !pids_.empty();
+    }
+
+    unsigned launches() const { return launches_; }
+    const std::string &lastExit() const { return lastExit_; }
+
+  private:
+    std::vector<std::string> args_;
+    unsigned maxLaunches_;
+    std::vector<pid_t> pids_;
+    unsigned launches_ = 0;
+    std::string lastExit_;
+};
 
 } // namespace
 
@@ -108,9 +212,7 @@ QueueRequest::save(const std::string &path) const
 {
     ByteWriter w;
     w.str(gridKey);
-    w.u64(totalConfigs);
     w.u32(shardCount);
-    w.u32(workerJobs);
     return writeVersionedFile(path, requestMagic, formatVersion,
                               w.buffer());
 }
@@ -124,9 +226,7 @@ QueueRequest::load(const std::string &path)
     ByteReader r(payload);
     QueueRequest req;
     req.gridKey = r.str();
-    req.totalConfigs = r.u64();
     req.shardCount = r.u32();
-    req.workerJobs = r.u32();
     TMCC_RETURN_IF_ERROR(r.finish("QueueRequest"));
     if (req.shardCount == 0)
         return Status::corruption("QueueRequest with zero shards");
@@ -243,19 +343,20 @@ tryClaimShard(const std::string &dir, const std::string &gridKey,
     if (fs::exists(path, ec)) {
         auto existing = ShardClaim::load(path);
         if (existing.ok()) {
-            const double age = shardClaimAgeSeconds(path);
-            if (age >= 0.0 && age <= existing.value().leaseSeconds) {
-                out.reason = "held by " + existing.value().owner +
-                             " (age " + std::to_string(age) + "s of " +
-                             std::to_string(
-                                 existing.value().leaseSeconds) +
-                             "s lease)";
+            const ShardClaim &held = existing.value();
+            if (claimLive(path, held)) {
+                out.reason = "held by " + held.owner;
                 return out;
             }
             // Stale: the owner died or stalled past its lease.  The
-            // next claimant inherits the attempt count (failure hooks
-            // and reclaim accounting key off it).
-            out.claim.attempt = existing.value().attempt + 1;
+            // next claimant inherits the attempt count (failure hooks,
+            // reclaim accounting and the attempt cap key off it).
+            if (held.attempt >= kMaxShardAttempts) {
+                out.reason = "exhausted after " +
+                             std::to_string(held.attempt) + " attempts";
+                return out;
+            }
+            out.claim.attempt = held.attempt + 1;
         }
         // Corrupt/truncated claims are never trusted: reclaim now.
         fs::remove(path, ec); // ENOENT = another reclaimer was faster
@@ -272,6 +373,23 @@ tryClaimShard(const std::string &dir, const std::string &gridKey,
     out.reclaimed = false;
     out.reason = "lost claim race: " + st.toString();
     return out;
+}
+
+bool
+shardExhausted(const std::string &dir, std::uint32_t shardId,
+               ShardClaim *last)
+{
+    const std::string path = sweepShardFile(dir, shardId, "claim");
+    std::error_code ec;
+    if (!fs::exists(path, ec))
+        return false;
+    auto claim = ShardClaim::load(path);
+    if (!claim.ok() || claim.value().attempt < kMaxShardAttempts ||
+        claimLive(path, claim.value()))
+        return false;
+    if (last)
+        *last = claim.value();
+    return true;
 }
 
 Status
@@ -399,27 +517,26 @@ QueueClient::enqueue(const std::vector<SimConfig> &grid)
 
     // Shard specs: the work orders the daemons execute.  Written (or
     // refreshed) before the request marker so a visible request always
-    // has complete specs.
+    // has complete specs.  An exhausted claim is cleared so a re-enqueue
+    // gives its shard a fresh attempt budget.
     for (const SweepManifest::Shard &shard : manifest.shards) {
         ShardSpec spec;
         spec.gridKey = key;
         spec.shardId = shard.id;
-        spec.attempt = 1;
         spec.workerJobs = opts_.workerJobs;
-        spec.resultPath = sweepShardFile(dir, shard.id, "result");
         spec.configIndices = shard.configIndices;
         for (std::uint64_t idx : shard.configIndices)
             spec.configs.push_back(grid[idx]);
         const std::string spath = sweepShardFile(dir, shard.id, "spec");
         fatalIf(!spec.save(spath).ok(),
                 "cannot write shard spec " + spath);
+        if (shardExhausted(dir, shard.id))
+            fs::remove(sweepShardFile(dir, shard.id, "claim"), ec);
     }
 
     QueueRequest req;
     req.gridKey = key;
-    req.totalConfigs = grid.size();
     req.shardCount = static_cast<std::uint32_t>(manifest.shards.size());
-    req.workerJobs = opts_.workerJobs;
     fatalIf(!req.save(sweepRequestPath(dir)).ok(),
             "cannot write queue request in " + dir);
     queueSweepsTotal.fetch_add(1);
@@ -427,7 +544,8 @@ QueueClient::enqueue(const std::vector<SimConfig> &grid)
 }
 
 SweepOutcome
-QueueClient::run(const std::vector<SimConfig> &grid)
+QueueClient::run(const std::vector<SimConfig> &grid,
+                 const std::string &localWorker)
 {
     const std::string key = sweepGridKey(grid);
     const std::string dir = enqueue(grid);
@@ -442,8 +560,9 @@ QueueClient::run(const std::vector<SimConfig> &grid)
     out.results.resize(grid.size());
     out.resultValid.assign(grid.size(), false);
 
-    std::vector<bool> merged(manifest.shards.size(), false);
-    unsigned unmerged = static_cast<unsigned>(manifest.shards.size());
+    // A shard is finished once merged or Failed.
+    std::vector<bool> finished(manifest.shards.size(), false);
+    unsigned unfinished = static_cast<unsigned>(manifest.shards.size());
 
     const auto try_merge = [&](std::size_t s, bool resume) -> bool {
         SweepManifest::Shard &shard = manifest.shards[s];
@@ -483,8 +602,8 @@ QueueClient::run(const std::vector<SimConfig> &grid)
         ck.rejectedFiles = file.ckptRejected;
         CheckpointStore::global().recordExternal(ck);
 
-        merged[s] = true;
-        --unmerged;
+        finished[s] = true;
+        --unfinished;
         ++out.completedShards;
         queueMergedTotal.fetch_add(1);
         if (resume) {
@@ -506,39 +625,87 @@ QueueClient::run(const std::vector<SimConfig> &grid)
         return true;
     };
 
-    for (std::size_t s = 0; s < manifest.shards.size(); ++s)
-        try_merge(s, /*resume=*/true);
+    const auto fail = [&](std::size_t s, std::uint32_t attempts,
+                          const std::string &why) {
+        SweepManifest::Shard &shard = manifest.shards[s];
+        shard.state = ShardState::Failed;
+        shard.attempts = attempts;
+        shard.lastError = why;
+        finished[s] = true;
+        --unfinished;
+        ++out.failedShards;
+        warn("shard " + std::to_string(shard.id) + " failed: " + why);
+    };
+
+    for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
+        if (try_merge(s, /*resume=*/true))
+            continue;
+        // Interrupted and previously Failed shards run again.
+        manifest.shards[s].state = ShardState::Pending;
+        manifest.shards[s].attempts = 0;
+        manifest.shards[s].lastError.clear();
+    }
     if (!manifest.save(mpath).ok())
         warn("cannot save queue sweep manifest " + mpath);
+
+    std::unique_ptr<LocalWorkers> workers;
+    if (!localWorker.empty() && unfinished > 0)
+        workers = std::make_unique<LocalWorkers>(
+            localWorker, opts_.queueDir,
+            kMaxShardAttempts * static_cast<unsigned>(
+                                    manifest.shards.size()));
+    else if (opts_.verbose && unfinished > 0)
+        std::printf("[queue] waiting for %u/%zu shards in %s "
+                    "(serve with: tmccsim --serve %s)\n",
+                    unfinished, manifest.shards.size(), dir.c_str(),
+                    opts_.queueDir.c_str());
 
     const double deadline =
         opts_.timeoutSeconds > 0.0
             ? wallSeconds() + opts_.timeoutSeconds
             : 0.0;
     double next_progress = wallSeconds() + 5.0;
-    if (opts_.verbose && unmerged > 0)
-        std::printf("[queue] waiting for %u/%zu shards in %s "
-                    "(serve with: tmcc_simd --serve %s)\n",
-                    unmerged, manifest.shards.size(), dir.c_str(),
-                    opts_.queueDir.c_str());
+    bool timed_out = false;
 
-    while (unmerged > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(opts_.pollSeconds));
-        bool progressed = false;
+    while (unfinished > 0) {
+        if (workers)
+            workers->reap();
+        bool changed = false;
         for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-            if (merged[s])
+            if (finished[s])
                 continue;
-            progressed |= try_merge(s, /*resume=*/false);
+            if (try_merge(s, /*resume=*/false)) {
+                changed = true;
+                continue;
+            }
+            ShardClaim last;
+            if (shardExhausted(dir, manifest.shards[s].id, &last)) {
+                fail(s, last.attempt,
+                     "exhausted " + std::to_string(last.attempt) +
+                         " attempts (last owner " + last.owner + ")");
+                changed = true;
+            }
         }
-        if (progressed && !manifest.save(mpath).ok())
+        if (workers && unfinished > 0 && !workers->topUp(unfinished)) {
+            for (std::size_t s = 0; s < manifest.shards.size(); ++s)
+                if (!finished[s])
+                    fail(s, 0,
+                         "no local worker left after " +
+                             std::to_string(workers->launches()) +
+                             " launches (last: " + workers->lastExit() +
+                             ")");
+            changed = true;
+        }
+        if (changed && !manifest.save(mpath).ok())
             warn("cannot save queue sweep manifest " + mpath);
+        if (unfinished == 0)
+            break;
 
         const double now = wallSeconds();
         if (opts_.verbose && now >= next_progress) {
             next_progress = now + 5.0;
             for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-                if (merged[s])
+                if (finished[s])
                     continue;
                 const std::uint32_t id = manifest.shards[s].id;
                 auto prog = ShardProgress::load(
@@ -562,18 +729,23 @@ QueueClient::run(const std::vector<SimConfig> &grid)
                     std::printf("[queue] shard %u: unclaimed\n", id);
             }
         }
-        if (deadline > 0.0 && now > deadline)
+        if (deadline > 0.0 && now > deadline) {
+            timed_out = true;
             break;
+        }
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(opts_.pollSeconds));
     }
+    workers.reset(); // kill + reap whatever is still running
 
-    if (unmerged == 0) {
+    if (!timed_out) {
         // Retire the request so daemons stop rescanning this sweep;
         // the results stay for resume.
         std::error_code ec;
         fs::remove(sweepRequestPath(dir), ec);
     } else {
         for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-            if (merged[s])
+            if (finished[s])
                 continue;
             manifest.shards[s].lastError =
                 "queue timeout after " +

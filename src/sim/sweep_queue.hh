@@ -1,12 +1,15 @@
 /**
  * @file
- * Lease-based sweep work queue (docs/SWEEP.md, phase 2): the on-disk
- * protocol that lets N long-running workers on any machines sharing a
- * filesystem serve one sweep, with crash recovery and no coordinator.
+ * Lease-based sweep work queue (docs/SWEEP.md): the on-disk protocol
+ * that lets N workers on any machines sharing a filesystem serve one
+ * sweep, with crash recovery and no coordinator.  It is the only
+ * multi-process sweep executor: `--dispatch=queue` enqueues for
+ * long-running remote daemons, `--dispatch=fork` enqueues into a
+ * private queue directory and starts local drain-once daemons.
  *
  * A *queue directory* holds one subdirectory per enqueued sweep, each
- * an ordinary sweep directory (manifest + shard specs + CRC'd shard
- * result files, exactly the PR-5 artifacts) plus two new file kinds:
+ * a sweep directory (manifest + shard specs + CRC'd shard result
+ * files) plus three more file kinds:
  *
  *  - REQUEST.tmccq (QueueRequest): the enqueue marker workers scan
  *    for, written last so a request is only visible once its specs are
@@ -18,7 +21,9 @@
  *    is the lease clock), and release it after publishing the result.
  *    A claim whose mtime is older than its recorded lease is *stale*
  *    (the worker crashed, was SIGKILLed, or got partitioned): any
- *    worker may reclaim it — delete, then race to re-create.
+ *    worker may reclaim it — delete, then race to re-create — unless
+ *    it already carries the last of kMaxShardAttempts attempts, in
+ *    which case the shard is *exhausted* and fails.
  *  - shard-NNN.progress (ShardProgress): per-shard progress the worker
  *    streams while it runs (configs done, accesses simulated, the
  *    latest epoch snapshot) for the enqueuing client to display.
@@ -32,10 +37,10 @@
  * the observer's wall clock, so leases must comfortably exceed
  * cross-host clock skew; the default (15s) does.
  *
- * QueueClient is the enqueuing side (`tmcc_sim --sweep ...
- * --dispatch=queue`): partition the grid, write the artifacts, poll
- * for results, merge exactly as the fork supervisor does.
- * SweepDaemon (sweep_daemon.hh, `tmcc_simd`) is the serving side.
+ * QueueClient is the enqueuing side (`tmccsim --sweep ...
+ * --dispatch=queue|fork`): partition the grid, write the artifacts,
+ * poll for results, merge.  SweepDaemon (sweep_daemon.hh,
+ * `tmccsim --serve`) is the serving side.
  */
 
 #ifndef TMCC_SIM_SWEEP_QUEUE_HH
@@ -46,15 +51,14 @@
 #include <vector>
 
 #include "common/status.hh"
-#include "sim/shard_runner.hh"
 #include "sim/sim_config.hh"
 #include "sim/sim_result.hh"
+#include "sim/sweep_manifest.hh"
 
 namespace tmcc
 {
 
-/** `shard-NNN.<ext>` within a sweep directory (shared by the fork
- * supervisor and the queue protocol). */
+/** `shard-NNN.<ext>` within a sweep directory. */
 std::string sweepShardFile(const std::string &dir, std::uint32_t id,
                            const char *ext);
 
@@ -63,7 +67,7 @@ std::string sweepRequestPath(const std::string &sweepDir);
 
 /**
  * Whether a "<shard>@<attempt|*>" failure-injection hook env var (see
- * shard_runner.hh / sweep_daemon.hh) fires for this shard attempt.
+ * sweep_daemon.hh) fires for this shard attempt.
  */
 bool sweepTestHookFires(const char *envName, std::uint32_t shard,
                         std::uint32_t attempt);
@@ -73,15 +77,18 @@ bool sweepTestHookFires(const char *envName, std::uint32_t shard,
  * clamped to [1, 64] (0 when unknown maps to 1). */
 unsigned defaultShardCount();
 
+/** Claims per shard (first run + reclaims) before it is Failed. */
+constexpr std::uint32_t kMaxShardAttempts = 3;
+
 /** The enqueue marker (REQUEST.tmccq) workers scan for. */
 struct QueueRequest
 {
-    static constexpr std::uint32_t formatVersion = 1;
+    // v2: dropped the config count and advisory worker jobs (the shard
+    //     specs carry both).
+    static constexpr std::uint32_t formatVersion = 2;
 
     std::string gridKey;
-    std::uint64_t totalConfigs = 0;
     std::uint32_t shardCount = 0;
-    std::uint32_t workerJobs = 1; //!< advisory SimRunner threads
 
     Status save(const std::string &path) const;
     static StatusOr<QueueRequest> load(const std::string &path);
@@ -146,7 +153,10 @@ struct ClaimAttempt
  *  - live claim           -> not claimed ("held by <owner>")
  *  - stale claim          -> delete it, race to re-create
  *                            (attempt = stale attempt + 1)
- *  - corrupt claim        -> never trusted: treated as stale
+ *  - stale claim at the   -> not claimed ("exhausted"): the shard has
+ *    attempt cap             used up kMaxShardAttempts
+ *  - corrupt claim        -> never trusted: treated as stale at
+ *                            attempt 0
  * Losing the create race (another worker linked first) is a normal
  * "not claimed" outcome, not an error.
  */
@@ -155,6 +165,11 @@ ClaimAttempt tryClaimShard(const std::string &dir,
                            std::uint32_t shardId,
                            const std::string &owner,
                            double leaseSeconds);
+
+/** Whether the shard's claim is stale at kMaxShardAttempts, i.e. its
+ * last allowed owner died holding it; `last` receives that claim. */
+bool shardExhausted(const std::string &dir, std::uint32_t shardId,
+                    ShardClaim *last = nullptr);
 
 /**
  * Renew the lease: verify the on-disk claim is still ours (it may have
@@ -166,6 +181,26 @@ Status renewShardClaim(const std::string &dir, ShardClaim &claim);
 
 /** Drop the lease after publishing (best effort; only if still ours). */
 void releaseShardClaim(const std::string &dir, const ShardClaim &claim);
+
+/** Merged outcome of a sweep. */
+struct SweepOutcome
+{
+    /** Results in original grid order; entries of unfinished shards
+     * are default-constructed (check `resultValid`). */
+    std::vector<SimResult> results;
+    std::vector<bool> resultValid;
+
+    /** Final manifest state of every shard. */
+    std::vector<SweepManifest::Shard> shards;
+
+    unsigned completedShards = 0;
+    unsigned failedShards = 0;  //!< exhausted, workerless or timed out
+    unsigned retries = 0;       //!< merged shards that needed a reclaim
+    unsigned resumedShards = 0; //!< satisfied from a previous sweep
+
+    /** Every shard completed and every result merged. */
+    bool ok() const { return failedShards == 0; }
+};
 
 /** Policy knobs for the enqueuing client. */
 struct QueueOptions
@@ -199,9 +234,8 @@ struct QueueOptions
 /**
  * The enqueuing side of the queue: write the sweep artifacts under the
  * queue directory, wait for workers to publish every shard, and merge
- * with exactly the fork supervisor's validation (grid key + config
- * indices + CRC), so the merged outcome is indistinguishable from a
- * `--dispatch=fork` or serial run.
+ * after validating grid key + config indices + CRC, so the merged
+ * outcome is indistinguishable from a serial run.
  */
 class QueueClient
 {
@@ -215,11 +249,20 @@ class QueueClient
      */
     std::string enqueue(const std::vector<SimConfig> &grid);
 
-    /** enqueue() + poll until every shard is merged or the timeout
-     * expires.  Worker-side failures only ever delay completion (the
-     * lease protocol retries them), so failedShards > 0 means the
-     * timeout fired first. */
-    SweepOutcome run(const std::vector<SimConfig> &grid);
+    /**
+     * enqueue() + poll until every shard is merged or has failed:
+     * exhausted its kMaxShardAttempts claims (Failed, with the attempt
+     * count and last owner in the manifest), or outlived the timeout.
+     *
+     * With `localWorker` set (fork dispatch) the client also runs the
+     * workers: it execs `localWorker --serve <queueDir> --once` with a
+     * short lease, keeps one alive per unfinished shard, replaces any
+     * that exit early, and launches at most kMaxShardAttempts per shard
+     * in total; once that budget is spent with no worker left, the
+     * unfinished shards are Failed.
+     */
+    SweepOutcome run(const std::vector<SimConfig> &grid,
+                     const std::string &localWorker = {});
 
     /** Process-wide queue-dispatch totals (BenchReport fields). */
     struct Totals

@@ -20,6 +20,7 @@
 #include "common/status.hh"
 #include "common/versioned_file.hh"
 #include "sim/sweep_manifest.hh"
+#include "sim/sweep_queue.hh"
 #include "tmcc/cte_buffer.hh"
 
 namespace tmcc
@@ -339,9 +340,7 @@ TEST_F(SweepManifestTest, ShardSpecRoundTrip)
     ShardSpec spec;
     spec.gridKey = "0123456789abcdef";
     spec.shardId = 3;
-    spec.attempt = 2;
     spec.workerJobs = 4;
-    spec.resultPath = path("shard-003.result");
     spec.configIndices = {1, 4, 7};
     spec.configs = {fancyConfig(), SimConfig::scaledDefault(),
                     fancyConfig()};
@@ -351,13 +350,23 @@ TEST_F(SweepManifestTest, ShardSpecRoundTrip)
     ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
     EXPECT_EQ(loaded->gridKey, spec.gridKey);
     EXPECT_EQ(loaded->shardId, 3u);
-    EXPECT_EQ(loaded->attempt, 2u);
     EXPECT_EQ(loaded->workerJobs, 4u);
-    EXPECT_EQ(loaded->resultPath, spec.resultPath);
     EXPECT_EQ(loaded->configIndices, spec.configIndices);
     ASSERT_EQ(loaded->configs.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i)
         expectConfigEqual(loaded->configs[i], spec.configs[i]);
+}
+
+TEST_F(SweepManifestTest, QueueRequestRoundTrip)
+{
+    QueueRequest req;
+    req.gridKey = "0123456789abcdef";
+    req.shardCount = 7;
+    ASSERT_TRUE(req.save(path("REQUEST.tmccq")).ok());
+    const auto loaded = QueueRequest::load(path("REQUEST.tmccq"));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().toString();
+    EXPECT_EQ(loaded->gridKey, req.gridKey);
+    EXPECT_EQ(loaded->shardCount, 7u);
 }
 
 TEST_F(SweepManifestTest, ShardResultFileRoundTrip)

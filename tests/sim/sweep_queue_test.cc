@@ -3,20 +3,23 @@
  * Lease-based sweep work queue (sim/sweep_queue.hh, sim/sweep_daemon.hh):
  * the claim/renew/release protocol must hand every shard to exactly one
  * live worker — across stale-lease reclaim after a worker SIGKILL,
- * N-way claim races, heartbeat renewal under a slow shard, and corrupt
- * claim files — and a queue-dispatched sweep must merge bit-identically
- * with a serial SimRunner run.
+ * N-way claim races, heartbeat renewal under a slow shard, corrupt
+ * claim files, and the attempt cap — and a sweep dispatched to queue
+ * daemons or to local fork workers must merge bit-identically with a
+ * serial SimRunner run, including after a worker SIGKILL and a resume.
  *
- * This binary is its own worker daemon: main() dispatches
- * `--daemon-serve DIR LEASE` to a drain-once SweepDaemon before gtest
- * initialization, so tests can fork+exec /proc/self/exe as a victim
- * daemon and SIGKILL it (via TMCC_QUEUE_TEST_KILL) mid-shard.
+ * This binary is its own worker: main() dispatches `--serve DIR ...`
+ * to sweepDaemonMain before gtest initialization, so tests can run it
+ * as fork dispatch's local workers or fork+exec it as a victim daemon
+ * and SIGKILL it (via TMCC_QUEUE_TEST_KILL) mid-shard.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -78,11 +81,16 @@ void
 expectIdentical(const SimResult &a, const SimResult &b)
 {
     EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.storeAccesses, b.storeAccesses);
     EXPECT_EQ(a.elapsed, b.elapsed);
     EXPECT_EQ(a.tlbMisses, b.tlbMisses);
+    EXPECT_EQ(a.tlbHits, b.tlbHits);
     EXPECT_EQ(a.llcMisses, b.llcMisses);
+    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks);
     EXPECT_EQ(a.cteHits, b.cteHits);
+    EXPECT_EQ(a.cteMisses, b.cteMisses);
     EXPECT_EQ(a.ml2Accesses, b.ml2Accesses);
+    EXPECT_EQ(a.footprintBytes, b.footprintBytes);
     EXPECT_EQ(a.dramUsedBytes, b.dramUsedBytes);
     // Bit-identical, not approximately equal: the queue round trip
     // (serialize, publish, CRC, merge) must not perturb a single bit.
@@ -90,6 +98,38 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.readBusUtil, b.readBusUtil);
     EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
     EXPECT_EQ(a.stats.all(), b.stats.all());
+    EXPECT_EQ(a.l3MissLatency.buckets(), b.l3MissLatency.buckets());
+    EXPECT_EQ(a.l3MissLatency.sampleSum(), b.l3MissLatency.sampleSum());
+    EXPECT_EQ(a.pageWalkLatency.buckets(), b.pageWalkLatency.buckets());
+}
+
+/** Every config merged and bit-identical to the serial run. */
+void
+expectMergedMatchesSerial(const SweepOutcome &out)
+{
+    const auto &serial = serialBaseline();
+    ASSERT_EQ(out.results.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        SCOPED_TRACE("config " + std::to_string(i));
+        ASSERT_TRUE(out.resultValid[i]);
+        expectIdentical(serial[i], out.results[i]);
+    }
+}
+
+/** Fork+exec this binary as a drain-once daemon on `queueDir`. */
+pid_t
+spawnDaemon(const std::string &queueDir, const char *lease,
+            const char *workerId)
+{
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::execl("/proc/self/exe", "sweep_queue_test", "--serve",
+                queueDir.c_str(), "--lease", lease, "--poll", "0.05",
+                "--once", "--no-sweep-ckpt", "--quiet", "--worker-id",
+                workerId, (char *)nullptr);
+        ::_exit(127); // exec failed
+    }
+    return pid;
 }
 
 class SweepQueueTest : public ::testing::Test
@@ -392,13 +432,8 @@ TEST_F(SweepQueueTest, SigkilledDaemonIsReclaimedBySurvivor)
     const std::string sweepDir = client.enqueue(grid());
 
     ::setenv("TMCC_QUEUE_TEST_KILL", "0@1", 1);
-    const pid_t victim = ::fork();
+    const pid_t victim = spawnDaemon(queueDir(), "0.5", "victim");
     ASSERT_GE(victim, 0);
-    if (victim == 0) {
-        ::execl("/proc/self/exe", "sweep_queue_test", "--daemon-serve",
-                queueDir().c_str(), "0.5", (char *)nullptr);
-        ::_exit(127); // exec failed
-    }
     ::unsetenv("TMCC_QUEUE_TEST_KILL");
 
     int status = 0;
@@ -427,6 +462,64 @@ TEST_F(SweepQueueTest, SigkilledDaemonIsReclaimedBySurvivor)
         expectIdentical(serial[i], out.results[i]);
     }
     EXPECT_EQ(QueueClient::totals().reclaimedShards, 1u);
+}
+
+TEST_F(SweepQueueTest, PoisonShardFailsAtAttemptCapWithoutTimeout)
+{
+    // Shard 1 kills every daemon that claims it.  Two daemons (this
+    // binary, re-exec'ed; each dead one is replaced) serve the queue.
+    // The claim left stale at attempt kMaxShardAttempts must not be
+    // reclaimed, so the client — with no timeout — ends with shard 1
+    // Failed instead of feeding it daemons forever.
+    QueueOptions qopts = clientOptions();
+    qopts.timeoutSeconds = 0.0;
+    QueueClient client(qopts);
+    client.enqueue(grid());
+
+    std::atomic<bool> done{false};
+    SweepOutcome out;
+    std::thread enqueuer([&] {
+        out = client.run(grid());
+        done = true;
+    });
+    ::setenv("TMCC_QUEUE_TEST_KILL", "1@*", 1);
+    std::vector<pid_t> daemons;
+    unsigned launched = 0;
+    while (!done.load()) {
+        for (std::size_t i = 0; i < daemons.size();) {
+            if (::waitpid(daemons[i], nullptr, WNOHANG) == daemons[i]) {
+                daemons[i] = daemons.back();
+                daemons.pop_back();
+            } else {
+                ++i;
+            }
+        }
+        while (daemons.size() < 2) {
+            const std::string id = "d" + std::to_string(++launched);
+            daemons.push_back(spawnDaemon(queueDir(), "0.3", id.c_str()));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    enqueuer.join();
+    ::unsetenv("TMCC_QUEUE_TEST_KILL");
+    for (const pid_t pid : daemons) {
+        ::kill(pid, SIGKILL);
+        ::waitpid(pid, nullptr, 0);
+    }
+
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.completedShards, 1u);
+    EXPECT_EQ(out.failedShards, 1u);
+    ASSERT_EQ(out.shards.size(), 2u);
+    EXPECT_EQ(out.shards[0].state, ShardState::Done);
+    EXPECT_EQ(out.shards[1].state, ShardState::Failed);
+    EXPECT_EQ(out.shards[1].attempts, kMaxShardAttempts);
+    EXPECT_NE(out.shards[1].lastError.find("last owner d"),
+              std::string::npos);
+    for (const std::uint64_t i : out.shards[0].configIndices)
+        expectIdentical(serialBaseline()[i], out.results[i]);
+    for (const std::uint64_t i : out.shards[1].configIndices)
+        EXPECT_FALSE(out.resultValid[i]);
 }
 
 TEST_F(SweepQueueTest, DaemonDefaultsCkptDirIntoSweepDir)
@@ -465,6 +558,190 @@ TEST_F(SweepQueueTest, DaemonDefaultsCkptDirIntoSweepDir)
     EXPECT_GT(result->ckptMemoryHits + result->ckptDiskHits +
                   result->ckptMisses,
               0u);
+}
+
+// ---------------------------------------------------------------------
+// Fork dispatch: the client runs this binary as its local shard
+// runners (`--serve DIR --once` workers on a private queue).
+
+using ShardRunnerTest = SweepQueueTest;
+
+SweepOutcome
+runFork(const QueueOptions &opts, const std::vector<SimConfig> &configs,
+        const std::string &worker = "/proc/self/exe")
+{
+    QueueOptions o = opts;
+    o.timeoutSeconds = 0.0; // every path must end without one
+    return QueueClient(o).run(configs, worker);
+}
+
+QueueOptions
+forkOptions(const std::string &queueDir, unsigned shards = 3)
+{
+    QueueOptions o;
+    o.queueDir = queueDir;
+    o.sweepName = "sweep-under-test";
+    o.shards = shards;
+    o.pollSeconds = 0.05;
+    o.verbose = false;
+    return o;
+}
+
+TEST_F(ShardRunnerTest, MergedResultsBitIdenticalToSerial)
+{
+    SweepOutcome out = runFork(forkOptions(queueDir()), grid());
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.completedShards, 3u);
+    EXPECT_EQ(out.failedShards, 0u);
+    EXPECT_EQ(out.retries, 0u);
+    expectMergedMatchesSerial(out);
+}
+
+TEST_F(ShardRunnerTest, MoreShardsThanConfigsClampsPartition)
+{
+    const std::vector<SimConfig> two = {grid()[0], grid()[1]};
+    SweepOutcome out = runFork(forkOptions(queueDir(), 8), two);
+    EXPECT_TRUE(out.ok());
+    // Partition clamps to one shard per config.
+    EXPECT_EQ(out.shards.size(), 2u);
+    EXPECT_TRUE(out.resultValid[0]);
+    EXPECT_TRUE(out.resultValid[1]);
+    expectIdentical(serialBaseline()[0], out.results[0]);
+    expectIdentical(serialBaseline()[1], out.results[1]);
+}
+
+TEST_F(ShardRunnerTest, WorkerSigkillMidShardIsRetriedBitIdentically)
+{
+    // Shard 1's first claimant dies by SIGKILL after finishing its
+    // first config (mid-shard, nothing published); another worker
+    // reclaims the lease once it expires and runs it clean.
+    ::setenv("TMCC_QUEUE_TEST_KILL", "1@1", 1);
+    SweepOutcome out = runFork(forkOptions(queueDir()), grid());
+    EXPECT_TRUE(out.ok());
+    EXPECT_EQ(out.retries, 1u);
+    EXPECT_EQ(out.failedShards, 0u);
+    EXPECT_EQ(out.completedShards, 3u);
+    ASSERT_EQ(out.shards.size(), 3u);
+    EXPECT_EQ(out.shards[1].state, ShardState::Done);
+    EXPECT_EQ(out.shards[1].attempts, 2u);
+    expectMergedMatchesSerial(out);
+}
+
+TEST_F(ShardRunnerTest, SingleShardSurvivesWorkerSigkill)
+{
+    // With one shard there is one worker, and it dies: the client
+    // must replace it, and the replacement reclaims at attempt 2.
+    ::setenv("TMCC_QUEUE_TEST_KILL", "0@1", 1);
+    SweepOutcome out = runFork(forkOptions(queueDir(), 1), grid());
+    EXPECT_TRUE(out.ok());
+    ASSERT_EQ(out.shards.size(), 1u);
+    EXPECT_EQ(out.shards[0].attempts, 2u);
+    expectMergedMatchesSerial(out);
+}
+
+TEST_F(ShardRunnerTest, RetryExhaustionDegradesGracefully)
+{
+    // Shard 1 dies on every attempt: the sweep must finish everything
+    // else, mark shard 1 Failed at the attempt cap with its last owner,
+    // and report not-ok.
+    ::setenv("TMCC_QUEUE_TEST_KILL", "1@*", 1);
+    SweepOutcome out = runFork(forkOptions(queueDir()), grid());
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.failedShards, 1u);
+    EXPECT_EQ(out.completedShards, 2u);
+    ASSERT_EQ(out.shards.size(), 3u);
+    EXPECT_EQ(out.shards[1].state, ShardState::Failed);
+    EXPECT_EQ(out.shards[1].attempts, kMaxShardAttempts);
+    EXPECT_NE(out.shards[1].lastError.find("last owner"),
+              std::string::npos);
+
+    // Every config outside the failed shard merged bit-identically;
+    // the failed shard's configs are flagged invalid.
+    const auto &serial = serialBaseline();
+    for (std::size_t i = 0; i < out.results.size(); ++i) {
+        const bool onFailedShard =
+            std::find(out.shards[1].configIndices.begin(),
+                      out.shards[1].configIndices.end(),
+                      i) != out.shards[1].configIndices.end();
+        EXPECT_EQ(out.resultValid[i], !onFailedShard);
+        if (out.resultValid[i])
+            expectIdentical(serial[i], out.results[i]);
+    }
+
+    // The durable manifest agrees with the in-memory outcome.
+    const auto manifest = SweepManifest::load(
+        queueDir() + "/sweep-under-test/MANIFEST.tmccsweep");
+    ASSERT_TRUE(manifest.ok());
+    EXPECT_EQ(manifest->shards[1].state, ShardState::Failed);
+    EXPECT_EQ(manifest->shards[1].attempts, kMaxShardAttempts);
+}
+
+TEST_F(ShardRunnerTest, UnexecutableWorkerFailsWithinLaunchBudget)
+{
+    // Workers that never start (exit 127) never claim anything: the
+    // client stops after kMaxShardAttempts launches per shard and
+    // fails every shard instead of respawning forever.
+    SweepOutcome out = runFork(forkOptions(queueDir()), grid(),
+                               (dir_ / "no-such-worker").string());
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.failedShards, 3u);
+    EXPECT_EQ(out.completedShards, 0u);
+    for (const SweepManifest::Shard &shard : out.shards) {
+        EXPECT_EQ(shard.state, ShardState::Failed);
+        EXPECT_NE(shard.lastError.find("after 9 launches"),
+                  std::string::npos)
+            << shard.lastError;
+        EXPECT_NE(shard.lastError.find("exit status 127"),
+                  std::string::npos)
+            << shard.lastError;
+    }
+    for (std::size_t i = 0; i < out.resultValid.size(); ++i)
+        EXPECT_FALSE(out.resultValid[i]);
+}
+
+TEST_F(ShardRunnerTest, ResumeRerunsOnlyMissingShards)
+{
+    // First pass: shard 2 exhausts its attempts and is marked Failed.
+    ::setenv("TMCC_QUEUE_TEST_KILL", "2@*", 1);
+    SweepOutcome first = runFork(forkOptions(queueDir()), grid());
+    EXPECT_FALSE(first.ok());
+    EXPECT_EQ(first.completedShards, 2u);
+
+    // Second pass on the same queue, hook removed: the two Done shards
+    // resume from their result files (no re-run), and re-enqueueing
+    // clears the exhausted claim so the failed shard gets a fresh
+    // attempt budget.
+    ::unsetenv("TMCC_QUEUE_TEST_KILL");
+    SweepOutcome second = runFork(forkOptions(queueDir()), grid());
+    EXPECT_TRUE(second.ok());
+    EXPECT_EQ(second.resumedShards, 2u);
+    EXPECT_EQ(second.completedShards, 3u);
+    EXPECT_EQ(second.shards[2].attempts, 1u);
+    expectMergedMatchesSerial(second);
+}
+
+TEST_F(ShardRunnerTest, ResumeRejectsTamperedResultFile)
+{
+    // Complete a sweep, then damage one published result: resume must
+    // re-run that shard rather than merge the damaged file.
+    SweepOutcome first = runFork(forkOptions(queueDir()), grid());
+    ASSERT_TRUE(first.ok());
+
+    const std::string victim =
+        queueDir() + "/sweep-under-test/shard-001.result";
+    FILE *f = std::fopen(victim.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, -3, SEEK_END);
+    const int c = std::fgetc(f);
+    std::fseek(f, -1, SEEK_CUR);
+    std::fputc(c ^ 0xff, f);
+    std::fclose(f);
+
+    SweepOutcome second = runFork(forkOptions(queueDir()), grid());
+    EXPECT_TRUE(second.ok());
+    EXPECT_EQ(second.resumedShards, 2u); // shard 1 re-ran
+    EXPECT_EQ(second.shards[1].attempts, 1u);
+    expectMergedMatchesSerial(second);
 }
 
 // ---------------------------------------------------------------------
@@ -529,22 +806,12 @@ TEST_F(SweepQueueDeathTest, SweepNameOwnedByOtherGridIsFatal)
 int
 main(int argc, char **argv)
 {
-    // Daemon re-entry: tests fork+exec this binary as a victim worker,
-    // which must not fall into gtest.
-    for (int i = 1; i + 1 < argc; ++i)
-        if (std::strcmp(argv[i], "--daemon-serve") == 0) {
-            tmcc::DaemonOptions o;
-            o.queueDir = argv[i + 1];
-            o.leaseSeconds =
-                (i + 2 < argc) ? std::atof(argv[i + 2]) : 0.5;
-            o.pollSeconds = 0.05;
-            o.once = true;
-            o.defaultCkptDir = false;
-            o.verbose = false;
-            o.workerId = "victim";
-            tmcc::SweepDaemon(o).serve();
-            return 0;
-        }
+    // Worker re-entry: fork dispatch and the victim-daemon tests exec
+    // this binary with `--serve DIR ...`, which must not fall into
+    // gtest.
+    for (int i = 1; i < argc; ++i)
+        if (std::strcmp(argv[i], "--serve") == 0)
+            return tmcc::sweepDaemonMain(argc, argv);
     ::testing::InitGoogleTest(&argc, argv);
     return RUN_ALL_TESTS();
 }
