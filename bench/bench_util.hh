@@ -4,7 +4,8 @@
  * each table/figure of the paper.  Environment knobs:
  *
  *   TMCC_QUICK=1       shrink phase lengths ~4x (smoke-test the benches)
- *   TMCC_SCALE=<f>     override the workload footprint scale (> 0)
+ *   TMCC_SCALE=<f>     override the workload footprint scale (within
+ *                      [SimConfig::kMinScale, kMaxScale])
  *   TMCC_SAMPLE=k:w[:warm]  interval sampling for every harness run:
  *                      k detailed windows of w accesses/core
  *   TMCC_JOBS=<n>      simulation worker threads (default: all cores)
@@ -30,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/json.hh"
 #include "common/log.hh"
 #include "sim/checkpoint.hh"
@@ -39,18 +41,6 @@
 
 namespace tmcc::bench
 {
-
-/** Strictly parse env var `name` (value `s`) as a positive double. */
-inline double
-parsePositiveDouble(const char *name, const char *s)
-{
-    char *end = nullptr;
-    const double v = std::strtod(s, &end);
-    fatalIf(end == s || *end != '\0' || !std::isfinite(v) || v <= 0.0,
-            std::string(name) + " must be a positive number, got \"" + s +
-                "\"");
-    return v;
-}
 
 /** TMCC_QUICK: unset/empty or 0 = off, 1 = on; anything else is fatal. */
 inline bool
@@ -81,7 +71,7 @@ baseConfig(const std::string &workload, Arch arch)
         cfg.scale = 0.8;
 
     if (const char *s = std::getenv("TMCC_SCALE"))
-        cfg.scale = parsePositiveDouble("TMCC_SCALE", s);
+        cfg.scale = parsePositiveReal(s, "TMCC_SCALE");
     if (quickEnabled()) {
         cfg.placementAccesses /= 4;
         cfg.warmAccesses /= 4;

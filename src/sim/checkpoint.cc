@@ -1,12 +1,12 @@
 #include "sim/checkpoint.hh"
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 
 #include "common/log.hh"
 #include "common/versioned_file.hh"
+#include "sim/sweep_manifest.hh"
 
 namespace tmcc
 {
@@ -22,9 +22,7 @@ serializePhysMem(ByteWriter &w, const PhysMemState &st)
 {
     w.u64(st.totalPages);
     w.u64(st.nextFrame);
-    w.u64(st.freeList.size());
-    for (Ppn p : st.freeList)
-        w.u64(p);
+    serializeField(w, st.freeList);
     w.u64(st.ptOrder.size());
     for (Ppn p : st.ptOrder)
         w.u64(p);
@@ -39,11 +37,7 @@ deserializePhysMem(ByteReader &r, PhysMemState &st)
 {
     st.totalPages = r.u64();
     st.nextFrame = r.u64();
-    const std::uint64_t free_count = r.count(8);
-    st.freeList.clear();
-    st.freeList.reserve(free_count);
-    for (std::uint64_t i = 0; i < free_count && r.ok(); ++i)
-        st.freeList.push_back(r.u64());
+    TMCC_RETURN_IF_ERROR(deserializeField(r, st.freeList));
     const std::uint64_t pt_count = r.count(8 + sizeof(PtPage));
     st.ptOrder.clear();
     st.ptOrder.reserve(pt_count);
@@ -152,59 +146,31 @@ deserializeProfiles(ByteReader &r, ProfileLibraryState &st)
     return Status::okStatus();
 }
 
-void
-serializeFrames(ByteWriter &w, const std::vector<Ppn> &frames)
-{
-    w.u64(frames.size());
-    for (Ppn f : frames)
-        w.u64(f);
-}
-
-Status
-deserializeFrames(ByteReader &r, std::vector<Ppn> &frames,
-                  const char *what)
-{
-    const std::uint64_t n = r.count(8);
-    frames.clear();
-    frames.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        frames.push_back(r.u64());
-    if (!r.ok())
-        return Status::truncated(std::string(what) + " too short");
-    return Status::okStatus();
-}
-
 } // namespace
 
 std::string
 SetupCheckpoint::keyFor(const SimConfig &cfg)
 {
-    // Exactly the config fields the setup phase reads; scale keeps its
-    // full bit pattern so no two distinct values collide via printf
-    // rounding.  Arch / MC knobs / warm+measure lengths are absent by
-    // design: those runs share the checkpoint.
-    std::string key = "wl=" + cfg.workload;
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), ";scale=%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(cfg.scale)));
-    key += buf;
-    key += ";cores=" + std::to_string(cfg.cores);
-    key += ";seed=" + std::to_string(cfg.seed);
-    key += std::string(";huge=") + (cfg.hugePages ? "1" : "0");
-    key += std::string(";nested=") + (cfg.nestedPaging ? "1" : "0");
-    key += ";place=" + std::to_string(cfg.placementAccesses);
-    // Tenant knobs shape the memcloud access stream (and are harmless
-    // noise in the key for every other workload, which ignores them).
-    key += ";tenants=" + std::to_string(cfg.tenants);
-    std::snprintf(buf, sizeof(buf), ";tchurn=%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(cfg.tenantChurn)));
-    key += buf;
-    std::snprintf(buf, sizeof(buf), ";tzipf=%016llx",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(cfg.tenantZipf)));
-    key += buf;
+    // Exactly the Setup-tagged schema fields, each as the hex of its
+    // payload encoding (so doubles keep their full bit pattern).  Arch,
+    // MC knobs and warm/measure lengths are absent by design: those
+    // runs share the checkpoint.
+    std::string key;
+    visitFields(cfg, [&key](const char *name, const auto &f,
+                            FieldTag tag) {
+        static constexpr char hex[] = "0123456789abcdef";
+        if (tag != FieldTag::Setup)
+            return;
+        ByteWriter w;
+        serializeField(w, f);
+        key += name;
+        key += '=';
+        for (std::uint8_t b : w.buffer()) {
+            key += hex[b >> 4];
+            key += hex[b & 15];
+        }
+        key += ';';
+    });
     return key;
 }
 
@@ -238,8 +204,8 @@ SetupCheckpoint::serialize(ByteWriter &w) const
     w.u64(ml2CostTotal);
     w.u64(incompressiblePages);
     w.u64(compressiblePages);
-    serializeFrames(w, touchedFrames);
-    serializeFrames(w, regionFrames);
+    serializeField(w, touchedFrames);
+    serializeField(w, regionFrames);
     w.u64(workloadStates.size());
     for (const auto &blob : workloadStates)
         w.bytes(blob.data(), blob.size());
@@ -262,10 +228,8 @@ SetupCheckpoint::deserialize(ByteReader &r)
     ml2CostTotal = r.u64();
     incompressiblePages = r.u64();
     compressiblePages = r.u64();
-    TMCC_RETURN_IF_ERROR(
-        deserializeFrames(r, touchedFrames, "touchedFrames"));
-    TMCC_RETURN_IF_ERROR(
-        deserializeFrames(r, regionFrames, "regionFrames"));
+    TMCC_RETURN_IF_ERROR(deserializeField(r, touchedFrames));
+    TMCC_RETURN_IF_ERROR(deserializeField(r, regionFrames));
     const std::uint64_t wl_count = r.count(8);
     workloadStates.clear();
     workloadStates.reserve(wl_count);

@@ -11,9 +11,10 @@
  * fast-forward checkpoint per workload, restored by every architecture
  * configuration (see docs/EXPERIMENTS.md).
  *
- * Checkpoints are keyed by the architecture-invariant config subset
- * (workload, scale, cores, seed, hugePages, nestedPaging,
- * placementAccesses).  The arch-DEPENDENT part of setup — seeding the
+ * Checkpoints are keyed by the architecture-invariant config subset:
+ * the Setup-tagged fields of the SimConfig schema (workload, scale,
+ * cores, seed, hugePages, nestedPaging, placementAccesses and the
+ * tenant knobs).  The arch-DEPENDENT part of setup — seeding the
  * OS-inspired/Compresso metadata layers from the touch ordering — is
  * replayed per restore from the recorded frame sequences, so restored
  * MC state matches a cold build exactly.
@@ -52,8 +53,10 @@ struct SetupCheckpoint
 {
     /** On-disk format version; bump on any payload layout change.
      * v2: keyFor() gained the multi-tenant knobs, so v1 keys (which
-     * collapse all tenant configurations) can no longer be trusted. */
-    static constexpr std::uint32_t formatVersion = 2;
+     * collapse all tenant configurations) can no longer be trusted.
+     * v3: keyFor() became a walk over the schema's Setup fields
+     * (`name=<hex payload>;`), so v2 keys no longer match. */
+    static constexpr std::uint32_t formatVersion = 3;
 
     /** Invariant-config key this checkpoint was built for. */
     std::string key;
@@ -90,8 +93,9 @@ struct SetupCheckpoint
     std::vector<std::vector<std::uint8_t>> workloadStates;
 
     /**
-     * The invariant-subset key of `cfg`.  Configs differing only in
-     * Arch / MC knobs / phase lengths beyond placement share a key.
+     * The invariant-subset key of `cfg`: its Setup-tagged schema
+     * fields.  Configs differing only in Arch / MC knobs / phase
+     * lengths beyond placement share a key.
      */
     static std::string keyFor(const SimConfig &cfg);
 

@@ -1,12 +1,13 @@
 #include "sim/runner.hh"
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <exception>
 #include <string>
 #include <thread>
 
-#include "common/log.hh"
+#include "common/cli.hh"
 #include "common/trace.hh"
 #include "sim/checkpoint.hh"
 #include "sim/system.hh"
@@ -67,14 +68,9 @@ unsigned
 SimRunner::defaultJobs()
 {
     const char *env = std::getenv("TMCC_JOBS");
-    if (env && *env) {
-        char *end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        fatalIf(*end != '\0' || v <= 0,
-                std::string("TMCC_JOBS must be a positive integer, got \"") +
-                    env + "\"");
-        return static_cast<unsigned>(v);
-    }
+    if (env && *env)
+        return static_cast<unsigned>(
+            parsePositiveCount(env, "TMCC_JOBS", UINT_MAX));
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

@@ -7,11 +7,14 @@
 #ifndef TMCC_SIM_SIM_CONFIG_HH
 #define TMCC_SIM_SIM_CONFIG_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "cache/hierarchy.hh"
 #include "common/log.hh"
+#include "common/status.hh"
 #include "compresso/compresso_mc.hh"
 #include "dram/dram_config.hh"
 #include "tmcc/os_mc.hh"
@@ -32,6 +35,20 @@ enum class Arch
 
 const char *archName(Arch arch);
 
+/**
+ * `T` is `Record` or `const Record`: lets one schema visitor serve
+ * both the encoders (const) and the decoders / perturbers (mutable).
+ */
+template <class T, class Record>
+concept SchemaRecord = std::same_as<std::remove_const_t<T>, Record>;
+
+/** The role of a SimConfig field in the schema (visitFields). */
+enum class FieldTag : std::uint8_t
+{
+    Run,   //!< read after setup: arch, MC/cache/DRAM knobs, phases
+    Setup, //!< read by the setup phase: keys the SetupCheckpoint
+};
+
 /** Full experiment description. */
 struct SimConfig
 {
@@ -51,7 +68,7 @@ struct SimConfig
 
     unsigned tlbEntries = 2048;
     /** Per-core CTE Buffer entries (§V-A6); 1..CteBuffer::maxEntries
-     * (65536), which deserialized configs are checked against. */
+     * (65536), which validate() checks. */
     unsigned cteBufferEntries = 64;
     bool hugePages = false;
 
@@ -138,7 +155,137 @@ struct SimConfig
      * paper's full-scale values: latencies do not scale with capacity.
      */
     static SimConfig scaledDefault();
+
+    /** Bounds of validate(), not options.  Every workload lays out and
+     * runs at kMinScale on 1..kMaxCores cores (the graphs keep ~800
+     * vertices; pageRank's layout breaks between 1e-6 and 1e-7); at
+     * kMaxScale x kMaxCores the largest setup (mcf's per-core
+     * instances, 24 GB of simulated footprint) peaks near 1.4 GB of
+     * host memory.  In-tree configs use scale 0.02-1.0, <= 16 cores. */
+    static constexpr double kMinScale = 1e-4;
+    static constexpr double kMaxScale = 4.0;
+    static constexpr unsigned kMaxCores = 64;
+
+    /**
+     * The sim-level range rules (docs/ERROR_MODEL.md): arch, scale,
+     * cores, CTE Buffer size and the sampling geometry.  Checked at
+     * exactly two gates: deserializeSimConfig (as Corruption) and
+     * System's constructor (fatal).  Components keep their own
+     * structural checks.
+     */
+    Status validate() const;
 };
+
+/**
+ * The SimConfig field schema: calls `v(name, field, tag)` once per
+ * field, in payload order.  Everything that walks a whole config --
+ * the sweep payload codec (serializeSimConfig), sweepGridKey and
+ * SetupCheckpoint::keyFor (the Setup-tagged subset) -- is driven from
+ * this one list, so a field added here travels everywhere and a field
+ * missing here travels nowhere (sim_config.cc holds a sizeof tripwire).
+ */
+template <SchemaRecord<SimConfig> Cfg, class V>
+void
+visitFields(Cfg &c, V &&v)
+{
+    constexpr FieldTag S = FieldTag::Setup;
+    constexpr FieldTag R = FieldTag::Run;
+    v("workload", c.workload, S);
+    v("scale", c.scale, S);
+    v("cores", c.cores, S);
+    v("seed", c.seed, S);
+    v("arch", c.arch, R);
+
+    v("cpuGhz", c.cpuGhz, R);
+    v("l1Cycles", c.l1Cycles, R);
+    v("l2Cycles", c.l2Cycles, R);
+    v("l3Cycles", c.l3Cycles, R);
+    v("nocToMcNs", c.nocToMcNs, R);
+    v("tlbEntries", c.tlbEntries, R);
+    v("cteBufferEntries", c.cteBufferEntries, R);
+    v("hugePages", c.hugePages, S);
+    v("nestedPaging", c.nestedPaging, S);
+    v("memOverlapFactor", c.memOverlapFactor, R);
+
+    v("hierarchy.l1Bytes", c.hierarchy.l1Bytes, R);
+    v("hierarchy.l1Assoc", c.hierarchy.l1Assoc, R);
+    v("hierarchy.l2Bytes", c.hierarchy.l2Bytes, R);
+    v("hierarchy.l2Assoc", c.hierarchy.l2Assoc, R);
+    v("hierarchy.l3Bytes", c.hierarchy.l3Bytes, R);
+    v("hierarchy.l3Assoc", c.hierarchy.l3Assoc, R);
+    v("hierarchy.prefetchers", c.hierarchy.prefetchers, R);
+    v("hierarchy.strideDegreeL1", c.hierarchy.strideDegreeL1, R);
+    v("hierarchy.strideDegreeL2", c.hierarchy.strideDegreeL2, R);
+
+    v("dram.ranks", c.dram.ranks, R);
+    v("dram.bankGroups", c.dram.bankGroups, R);
+    v("dram.banksPerGroup", c.dram.banksPerGroup, R);
+    v("dram.rowBytes", c.dram.rowBytes, R);
+    v("dram.channelBytes", c.dram.channelBytes, R);
+    v("dram.tCkNs", c.dram.tCkNs, R);
+    v("dram.tClNs", c.dram.tClNs, R);
+    v("dram.tRcdNs", c.dram.tRcdNs, R);
+    v("dram.tRpNs", c.dram.tRpNs, R);
+    v("dram.tBurstNs", c.dram.tBurstNs, R);
+    v("dram.tWrNs", c.dram.tWrNs, R);
+    v("dram.tRtwNs", c.dram.tRtwNs, R);
+    v("dram.tWtrNs", c.dram.tWtrNs, R);
+    v("dram.rowAccessCap", c.dram.rowAccessCap, R);
+    v("dram.writeQueueDepth", c.dram.writeQueueDepth, R);
+    v("dram.writeDrainHigh", c.dram.writeDrainHigh, R);
+    v("dram.writeDrainLow", c.dram.writeDrainLow, R);
+
+    v("interleave.numMcs", c.interleave.numMcs, R);
+    v("interleave.channelsPerMc", c.interleave.channelsPerMc, R);
+    v("interleave.mcGranularity", c.interleave.mcGranularity, R);
+    v("interleave.channelGranularity", c.interleave.channelGranularity,
+      R);
+
+    v("compresso.cteCacheBytes", c.compresso.cteCacheBytes, R);
+    v("compresso.chunkBytes", c.compresso.chunkBytes, R);
+    v("compresso.mcProcNs", c.compresso.mcProcNs, R);
+    v("compresso.blockDecompressNs", c.compresso.blockDecompressNs, R);
+    v("compresso.llcVictimLatNs", c.compresso.llcVictimLatNs, R);
+    v("compresso.cteVictimInLlc", c.compresso.cteVictimInLlc, R);
+    v("compresso.llcVictimBytes", c.compresso.llcVictimBytes, R);
+    v("compresso.repackBlockFraction", c.compresso.repackBlockFraction,
+      R);
+
+    v("osMc.cteCacheBytes", c.osMc.cteCacheBytes, R);
+    v("osMc.mcProcNs", c.osMc.mcProcNs, R);
+    v("osMc.embedCtes", c.osMc.embedCtes, R);
+    v("osMc.fastDeflate", c.osMc.fastDeflate, R);
+    v("osMc.dramBudgetBytes", c.osMc.dramBudgetBytes, R);
+    v("osMc.ml1TargetPages", c.osMc.ml1TargetPages, R);
+    v("osMc.freeListLow", c.osMc.freeListLow, R);
+    v("osMc.freeListCritical", c.osMc.freeListCritical, R);
+    v("osMc.evictBatch", c.osMc.evictBatch, R);
+    v("osMc.migrationBufferEntries", c.osMc.migrationBufferEntries, R);
+    v("osMc.migrationGBs", c.osMc.migrationGBs, R);
+    v("osMc.recencySampleP", c.osMc.recencySampleP, R);
+    v("osMc.ptb.managedDramBytes", c.osMc.ptb.managedDramBytes, R);
+    v("osMc.ptb.physPages", c.osMc.ptb.physPages, R);
+    v("osMc.faults.ml2BitFlipRate", c.osMc.faults.ml2BitFlipRate, R);
+    v("osMc.faults.cteBitFlipRate", c.osMc.faults.cteBitFlipRate, R);
+    v("osMc.faults.ptbBitFlipRate", c.osMc.faults.ptbBitFlipRate, R);
+    v("osMc.faults.transientFraction", c.osMc.faults.transientFraction,
+      R);
+    v("osMc.faults.seed", c.osMc.faults.seed, R);
+
+    v("dramBudgetFraction", c.dramBudgetFraction, R);
+    v("placementAccesses", c.placementAccesses, S);
+    v("warmAccesses", c.warmAccesses, R);
+    v("measureAccesses", c.measureAccesses, R);
+    v("statsInterval", c.statsInterval, R);
+    v("sampleWindows", c.sampleWindows, R);
+    v("sampleWindowAccesses", c.sampleWindowAccesses, R);
+    v("sampleWarmAccesses", c.sampleWarmAccesses, R);
+    // Tenant knobs shape the memcloud access stream (harmless noise in
+    // the checkpoint key of every other workload, which ignores them).
+    v("tenants", c.tenants, S);
+    v("tenantChurn", c.tenantChurn, S);
+    v("tenantZipf", c.tenantZipf, S);
+}
 
 /**
  * Strictly parse a `--sample` / TMCC_SAMPLE spec `k:w[:warm]` (all

@@ -13,6 +13,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/sim_config.hh"
 
 namespace tmcc
 {
@@ -163,6 +164,82 @@ struct SimResult
     /** Per-tenant isolation stats (empty unless workload=memcloud). */
     std::vector<TenantStat> tenants;
 };
+
+// The SimResult field schema: `v(name, field)` once per field, in
+// payload order (see visitFields(SimConfig)).  Vectors hold records
+// that have their own schema below.
+
+template <SchemaRecord<SampleMetric> M, class V>
+void
+visitFields(M &m, V &&v)
+{
+    v("name", m.name);
+    v("mean", m.mean);
+    v("ci95", m.ci95);
+}
+
+template <SchemaRecord<EpochStat> E, class V>
+void
+visitFields(E &e, V &&v)
+{
+    v("accesses", e.accesses);
+    v("deltaAccesses", e.deltaAccesses);
+    v("endTick", e.endTick);
+    v("ml2AccessRate", e.ml2AccessRate);
+    v("cteHitRate", e.cteHitRate);
+    v("dramUsedBytes", e.dramUsedBytes);
+    v("delta", e.delta);
+}
+
+template <SchemaRecord<TenantStat> T, class V>
+void
+visitFields(T &t, V &&v)
+{
+    v("accesses", t.accesses);
+    v("ml2Faults", t.ml2Faults);
+    v("footprintBytes", t.footprintBytes);
+    v("ml2FaultLatency", t.ml2FaultLatency);
+}
+
+template <SchemaRecord<SimResult> Res, class V>
+void
+visitFields(Res &r, V &&v)
+{
+    v("accesses", r.accesses);
+    v("storeAccesses", r.storeAccesses);
+    v("elapsed", r.elapsed);
+    v("tlbMisses", r.tlbMisses);
+    v("tlbHits", r.tlbHits);
+    v("llcMisses", r.llcMisses);
+    v("llcWritebacks", r.llcWritebacks);
+    v("cteHits", r.cteHits);
+    v("cteMisses", r.cteMisses);
+    v("cteMissesAfterTlbMiss", r.cteMissesAfterTlbMiss);
+    v("ml1CteHit", r.ml1CteHit);
+    v("ml1Parallel", r.ml1Parallel);
+    v("ml1Mismatch", r.ml1Mismatch);
+    v("ml1Serial", r.ml1Serial);
+    v("ml2Accesses", r.ml2Accesses);
+    v("avgL3MissLatencyNs", r.avgL3MissLatencyNs);
+    v("l3MissLatency", r.l3MissLatency);
+    v("pageWalkLatency", r.pageWalkLatency);
+    v("ml2FaultLatency", r.ml2FaultLatency);
+    v("readBusUtil", r.readBusUtil);
+    v("writeBusUtil", r.writeBusUtil);
+    v("footprintBytes", r.footprintBytes);
+    v("dramUsedBytes", r.dramUsedBytes);
+    v("setupSeconds", r.setupSeconds);
+    v("measureSeconds", r.measureSeconds);
+    v("restoredFromCheckpoint", r.restoredFromCheckpoint);
+    v("stats", r.stats);
+    v("epochs", r.epochs);
+    v("sample.windows", r.sample.windows);
+    v("sample.windowAccesses", r.sample.windowAccesses);
+    v("sample.warmupAccesses", r.sample.warmupAccesses);
+    v("sample.ffAccesses", r.sample.ffAccesses);
+    v("sample.metrics", r.sample.metrics);
+    v("tenants", r.tenants);
+}
 
 } // namespace tmcc
 

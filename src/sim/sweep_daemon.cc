@@ -219,11 +219,19 @@ SweepDaemon::serveShard(const std::string &sweepDir,
 
     auto spec_or =
         ShardSpec::load(sweepShardFile(sweepDir, shardId, "spec"));
-    if (!spec_or.ok() || spec_or.value().gridKey != req.gridKey) {
+    if (!spec_or.ok()) {
+        // Specs are published atomically, so one that does not load
+        // (damaged, or a config SimConfig::validate() rejects) never
+        // will.  Keep the claim unrenewed: the attempt is spent like a
+        // crashed one, and the attempt cap fails the shard instead of
+        // every worker retrying it forever.
         warn("shard " + std::to_string(shardId) + " spec unusable in " +
-             sweepDir + (spec_or.ok() ? " (grid key mismatch)"
-                                      : ": " +
-                                            spec_or.status().toString()));
+             sweepDir + ": " + spec_or.status().toString());
+        return false;
+    }
+    if (spec_or.value().gridKey != req.gridKey) {
+        warn("shard " + std::to_string(shardId) + " spec unusable in " +
+             sweepDir + " (grid key mismatch)");
         releaseShardClaim(sweepDir, claim);
         return false;
     }

@@ -4,7 +4,6 @@
 
 #include "common/log.hh"
 #include "common/versioned_file.hh"
-#include "tmcc/cte_buffer.hh"
 
 namespace tmcc
 {
@@ -16,30 +15,10 @@ constexpr char specMagic[8] = {'T', 'M', 'C', 'C', 'S', 'P', 'E', 'C'};
 constexpr char resultMagic[8] = {'T', 'M', 'C', 'C', 'S', 'H', 'R', 'D'};
 constexpr char manifestMagic[8] = {'T', 'M', 'C', 'C', 'S', 'W', 'P', 'M'};
 
-void
-serializeIndices(ByteWriter &w, const std::vector<std::uint64_t> &idx)
-{
-    w.u64(idx.size());
-    for (std::uint64_t i : idx)
-        w.u64(i);
-}
-
-Status
-deserializeIndices(ByteReader &r, std::vector<std::uint64_t> &idx,
-                   const char *what)
-{
-    const std::uint64_t n = r.count(8);
-    idx.clear();
-    idx.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i)
-        idx.push_back(r.u64());
-    if (!r.ok())
-        return Status::truncated(std::string(what) + " too short");
-    return Status::okStatus();
-}
+} // namespace
 
 void
-serializeStatDump(ByteWriter &w, const StatDump &dump)
+serializeField(ByteWriter &w, const StatDump &dump)
 {
     w.u64(dump.all().size());
     for (const auto &[name, value] : dump.all()) {
@@ -49,7 +28,7 @@ serializeStatDump(ByteWriter &w, const StatDump &dump)
 }
 
 Status
-deserializeStatDump(ByteReader &r, StatDump &dump)
+deserializeField(ByteReader &r, StatDump &dump)
 {
     dump = StatDump{};
     const std::uint64_t n = r.count(8 + 8); // length prefix + value
@@ -63,7 +42,7 @@ deserializeStatDump(ByteReader &r, StatDump &dump)
 }
 
 void
-serializeHistogram(ByteWriter &w, const Histogram &h)
+serializeField(ByteWriter &w, const Histogram &h)
 {
     w.f64(h.lo());
     w.f64(h.hi());
@@ -78,7 +57,7 @@ serializeHistogram(ByteWriter &w, const Histogram &h)
 }
 
 Status
-deserializeHistogram(ByteReader &r, Histogram &h)
+deserializeField(ByteReader &r, Histogram &h)
 {
     const double lo = r.f64();
     const double hi = r.f64();
@@ -101,378 +80,32 @@ deserializeHistogram(ByteReader &r, Histogram &h)
 }
 
 void
-serializeEpoch(ByteWriter &w, const EpochStat &e)
-{
-    w.u64(e.accesses);
-    w.u64(e.deltaAccesses);
-    w.u64(e.endTick);
-    w.f64(e.ml2AccessRate);
-    w.f64(e.cteHitRate);
-    w.f64(e.dramUsedBytes);
-    serializeStatDump(w, e.delta);
-}
-
-Status
-deserializeEpoch(ByteReader &r, EpochStat &e)
-{
-    e.accesses = r.u64();
-    e.deltaAccesses = r.u64();
-    e.endTick = r.u64();
-    e.ml2AccessRate = r.f64();
-    e.cteHitRate = r.f64();
-    e.dramUsedBytes = r.f64();
-    return deserializeStatDump(r, e.delta);
-}
-
-} // namespace
-
-void
 serializeSimConfig(ByteWriter &w, const SimConfig &cfg)
 {
-    w.str(cfg.workload);
-    w.f64(cfg.scale);
-    w.u32(cfg.cores);
-    w.u64(cfg.seed);
-    w.u8(static_cast<std::uint8_t>(cfg.arch));
-
-    w.f64(cfg.cpuGhz);
-    w.u32(cfg.l1Cycles);
-    w.u32(cfg.l2Cycles);
-    w.u32(cfg.l3Cycles);
-    w.f64(cfg.nocToMcNs);
-    w.u32(cfg.tlbEntries);
-    w.u32(cfg.cteBufferEntries);
-    w.u8(cfg.hugePages ? 1 : 0);
-    w.u8(cfg.nestedPaging ? 1 : 0);
-    w.f64(cfg.memOverlapFactor);
-
-    const HierarchyConfig &h = cfg.hierarchy;
-    w.u64(h.l1Bytes);
-    w.u32(h.l1Assoc);
-    w.u64(h.l2Bytes);
-    w.u32(h.l2Assoc);
-    w.u64(h.l3Bytes);
-    w.u32(h.l3Assoc);
-    w.u8(h.prefetchers ? 1 : 0);
-    w.u32(h.strideDegreeL1);
-    w.u32(h.strideDegreeL2);
-
-    const DramConfig &d = cfg.dram;
-    w.u32(d.ranks);
-    w.u32(d.bankGroups);
-    w.u32(d.banksPerGroup);
-    w.u64(d.rowBytes);
-    w.u64(d.channelBytes);
-    w.f64(d.tCkNs);
-    w.f64(d.tClNs);
-    w.f64(d.tRcdNs);
-    w.f64(d.tRpNs);
-    w.f64(d.tBurstNs);
-    w.f64(d.tWrNs);
-    w.f64(d.tRtwNs);
-    w.f64(d.tWtrNs);
-    w.u32(d.rowAccessCap);
-    w.u32(d.writeQueueDepth);
-    w.u32(d.writeDrainHigh);
-    w.u32(d.writeDrainLow);
-
-    const InterleaveConfig &il = cfg.interleave;
-    w.u32(il.numMcs);
-    w.u32(il.channelsPerMc);
-    w.u64(il.mcGranularity);
-    w.u64(il.channelGranularity);
-
-    const CompressoConfig &c = cfg.compresso;
-    w.u64(c.cteCacheBytes);
-    w.u64(c.chunkBytes);
-    w.f64(c.mcProcNs);
-    w.f64(c.blockDecompressNs);
-    w.f64(c.llcVictimLatNs);
-    w.u8(c.cteVictimInLlc ? 1 : 0);
-    w.u64(c.llcVictimBytes);
-    w.f64(c.repackBlockFraction);
-
-    const OsMcConfig &o = cfg.osMc;
-    w.u64(o.cteCacheBytes);
-    w.f64(o.mcProcNs);
-    w.u8(o.embedCtes ? 1 : 0);
-    w.u8(o.fastDeflate ? 1 : 0);
-    w.u64(o.dramBudgetBytes);
-    w.u64(o.ml1TargetPages);
-    w.u64(o.freeListLow);
-    w.u64(o.freeListCritical);
-    w.u64(o.evictBatch);
-    w.u32(o.migrationBufferEntries);
-    w.f64(o.migrationGBs);
-    w.f64(o.recencySampleP);
-    w.u64(o.ptb.managedDramBytes);
-    w.u64(o.ptb.physPages);
-    w.f64(o.faults.ml2BitFlipRate);
-    w.f64(o.faults.cteBitFlipRate);
-    w.f64(o.faults.ptbBitFlipRate);
-    w.f64(o.faults.transientFraction);
-    w.u64(o.faults.seed);
-
-    w.f64(cfg.dramBudgetFraction);
-    w.u64(cfg.placementAccesses);
-    w.u64(cfg.warmAccesses);
-    w.u64(cfg.measureAccesses);
-    w.u64(cfg.statsInterval);
-
-    // v2: interval-sampling geometry.
-    w.u64(cfg.sampleWindows);
-    w.u64(cfg.sampleWindowAccesses);
-    w.u64(cfg.sampleWarmAccesses);
-
-    // v3: multi-tenant knobs.
-    w.u32(cfg.tenants);
-    w.f64(cfg.tenantChurn);
-    w.f64(cfg.tenantZipf);
+    serializeField(w, cfg);
 }
 
 Status
 deserializeSimConfig(ByteReader &r, SimConfig &cfg)
 {
-    cfg.workload = r.str();
-    cfg.scale = r.f64();
-    cfg.cores = r.u32();
-    cfg.seed = r.u64();
-    const std::uint8_t arch = r.u8();
-    if (arch > static_cast<std::uint8_t>(Arch::Tmcc))
-        return Status::corruption("SimConfig arch out of range");
-    cfg.arch = static_cast<Arch>(arch);
-
-    cfg.cpuGhz = r.f64();
-    cfg.l1Cycles = r.u32();
-    cfg.l2Cycles = r.u32();
-    cfg.l3Cycles = r.u32();
-    cfg.nocToMcNs = r.f64();
-    cfg.tlbEntries = r.u32();
-    cfg.cteBufferEntries = r.u32();
-    if (r.ok() && (cfg.cteBufferEntries == 0 ||
-                   cfg.cteBufferEntries > CteBuffer::maxEntries))
-        return Status::corruption("SimConfig cteBufferEntries " +
-                                  std::to_string(cfg.cteBufferEntries) +
-                                  " outside [1, " +
-                                  std::to_string(CteBuffer::maxEntries) +
-                                  "]");
-    cfg.hugePages = r.u8() != 0;
-    cfg.nestedPaging = r.u8() != 0;
-    cfg.memOverlapFactor = r.f64();
-
-    HierarchyConfig &h = cfg.hierarchy;
-    h.l1Bytes = r.u64();
-    h.l1Assoc = r.u32();
-    h.l2Bytes = r.u64();
-    h.l2Assoc = r.u32();
-    h.l3Bytes = r.u64();
-    h.l3Assoc = r.u32();
-    h.prefetchers = r.u8() != 0;
-    h.strideDegreeL1 = r.u32();
-    h.strideDegreeL2 = r.u32();
-
-    DramConfig &d = cfg.dram;
-    d.ranks = r.u32();
-    d.bankGroups = r.u32();
-    d.banksPerGroup = r.u32();
-    d.rowBytes = r.u64();
-    d.channelBytes = r.u64();
-    d.tCkNs = r.f64();
-    d.tClNs = r.f64();
-    d.tRcdNs = r.f64();
-    d.tRpNs = r.f64();
-    d.tBurstNs = r.f64();
-    d.tWrNs = r.f64();
-    d.tRtwNs = r.f64();
-    d.tWtrNs = r.f64();
-    d.rowAccessCap = r.u32();
-    d.writeQueueDepth = r.u32();
-    d.writeDrainHigh = r.u32();
-    d.writeDrainLow = r.u32();
-
-    InterleaveConfig &il = cfg.interleave;
-    il.numMcs = r.u32();
-    il.channelsPerMc = r.u32();
-    il.mcGranularity = r.u64();
-    il.channelGranularity = r.u64();
-
-    CompressoConfig &c = cfg.compresso;
-    c.cteCacheBytes = r.u64();
-    c.chunkBytes = r.u64();
-    c.mcProcNs = r.f64();
-    c.blockDecompressNs = r.f64();
-    c.llcVictimLatNs = r.f64();
-    c.cteVictimInLlc = r.u8() != 0;
-    c.llcVictimBytes = r.u64();
-    c.repackBlockFraction = r.f64();
-
-    OsMcConfig &o = cfg.osMc;
-    o.cteCacheBytes = r.u64();
-    o.mcProcNs = r.f64();
-    o.embedCtes = r.u8() != 0;
-    o.fastDeflate = r.u8() != 0;
-    o.dramBudgetBytes = r.u64();
-    o.ml1TargetPages = r.u64();
-    o.freeListLow = r.u64();
-    o.freeListCritical = r.u64();
-    o.evictBatch = r.u64();
-    o.migrationBufferEntries = r.u32();
-    o.migrationGBs = r.f64();
-    o.recencySampleP = r.f64();
-    o.ptb.managedDramBytes = r.u64();
-    o.ptb.physPages = r.u64();
-    o.faults.ml2BitFlipRate = r.f64();
-    o.faults.cteBitFlipRate = r.f64();
-    o.faults.ptbBitFlipRate = r.f64();
-    o.faults.transientFraction = r.f64();
-    o.faults.seed = r.u64();
-
-    cfg.dramBudgetFraction = r.f64();
-    cfg.placementAccesses = r.u64();
-    cfg.warmAccesses = r.u64();
-    cfg.measureAccesses = r.u64();
-    cfg.statsInterval = r.u64();
-
-    cfg.sampleWindows = r.u64();
-    cfg.sampleWindowAccesses = r.u64();
-    cfg.sampleWarmAccesses = r.u64();
-
-    cfg.tenants = r.u32();
-    cfg.tenantChurn = r.f64();
-    cfg.tenantZipf = r.f64();
-
-    if (!r.ok())
-        return Status::truncated("SimConfig payload too short");
+    TMCC_RETURN_IF_ERROR(deserializeField(r, cfg));
+    const Status valid = cfg.validate();
+    if (!valid.ok())
+        return Status::corruption("SimConfig " + valid.message());
     return Status::okStatus();
 }
 
 void
 serializeSimResult(ByteWriter &w, const SimResult &res)
 {
-    w.u64(res.accesses);
-    w.u64(res.storeAccesses);
-    w.u64(res.elapsed);
-    w.u64(res.tlbMisses);
-    w.u64(res.tlbHits);
-    w.u64(res.llcMisses);
-    w.u64(res.llcWritebacks);
-    w.u64(res.cteHits);
-    w.u64(res.cteMisses);
-    w.u64(res.cteMissesAfterTlbMiss);
-    w.u64(res.ml1CteHit);
-    w.u64(res.ml1Parallel);
-    w.u64(res.ml1Mismatch);
-    w.u64(res.ml1Serial);
-    w.u64(res.ml2Accesses);
-    w.f64(res.avgL3MissLatencyNs);
-    serializeHistogram(w, res.l3MissLatency);
-    serializeHistogram(w, res.pageWalkLatency);
-    serializeHistogram(w, res.ml2FaultLatency);
-    w.f64(res.readBusUtil);
-    w.f64(res.writeBusUtil);
-    w.u64(res.footprintBytes);
-    w.u64(res.dramUsedBytes);
-    w.f64(res.setupSeconds);
-    w.f64(res.measureSeconds);
-    w.u8(res.restoredFromCheckpoint ? 1 : 0);
-    serializeStatDump(w, res.stats);
-    w.u64(res.epochs.size());
-    for (const EpochStat &e : res.epochs)
-        serializeEpoch(w, e);
-
-    // v2: interval-sampling summary.
-    w.u64(res.sample.windows);
-    w.u64(res.sample.windowAccesses);
-    w.u64(res.sample.warmupAccesses);
-    w.u64(res.sample.ffAccesses);
-    w.u64(res.sample.metrics.size());
-    for (const SampleMetric &m : res.sample.metrics) {
-        w.str(m.name);
-        w.f64(m.mean);
-        w.f64(m.ci95);
-    }
-
-    // v4 (ShardResultFile): per-tenant isolation stats.
-    w.u64(res.tenants.size());
-    for (const TenantStat &t : res.tenants) {
-        w.u64(t.accesses);
-        w.u64(t.ml2Faults);
-        w.u64(t.footprintBytes);
-        serializeHistogram(w, t.ml2FaultLatency);
-    }
+    serializeField(w, res);
 }
 
 Status
 deserializeSimResult(ByteReader &r, SimResult &res)
 {
     res = SimResult{};
-    res.accesses = r.u64();
-    res.storeAccesses = r.u64();
-    res.elapsed = r.u64();
-    res.tlbMisses = r.u64();
-    res.tlbHits = r.u64();
-    res.llcMisses = r.u64();
-    res.llcWritebacks = r.u64();
-    res.cteHits = r.u64();
-    res.cteMisses = r.u64();
-    res.cteMissesAfterTlbMiss = r.u64();
-    res.ml1CteHit = r.u64();
-    res.ml1Parallel = r.u64();
-    res.ml1Mismatch = r.u64();
-    res.ml1Serial = r.u64();
-    res.ml2Accesses = r.u64();
-    res.avgL3MissLatencyNs = r.f64();
-    TMCC_RETURN_IF_ERROR(deserializeHistogram(r, res.l3MissLatency));
-    TMCC_RETURN_IF_ERROR(deserializeHistogram(r, res.pageWalkLatency));
-    TMCC_RETURN_IF_ERROR(deserializeHistogram(r, res.ml2FaultLatency));
-    res.readBusUtil = r.f64();
-    res.writeBusUtil = r.f64();
-    res.footprintBytes = r.u64();
-    res.dramUsedBytes = r.u64();
-    res.setupSeconds = r.f64();
-    res.measureSeconds = r.f64();
-    res.restoredFromCheckpoint = r.u8() != 0;
-    TMCC_RETURN_IF_ERROR(deserializeStatDump(r, res.stats));
-    const std::uint64_t n_epochs = r.count(8 * 6 + 8);
-    res.epochs.clear();
-    res.epochs.reserve(n_epochs);
-    for (std::uint64_t i = 0; i < n_epochs && r.ok(); ++i) {
-        EpochStat e;
-        TMCC_RETURN_IF_ERROR(deserializeEpoch(r, e));
-        res.epochs.push_back(std::move(e));
-    }
-
-    res.sample.windows = r.u64();
-    res.sample.windowAccesses = r.u64();
-    res.sample.warmupAccesses = r.u64();
-    res.sample.ffAccesses = r.u64();
-    const std::uint64_t n_metrics = r.count(8 + 8 + 8);
-    res.sample.metrics.clear();
-    res.sample.metrics.reserve(n_metrics);
-    for (std::uint64_t i = 0; i < n_metrics && r.ok(); ++i) {
-        SampleMetric m;
-        m.name = r.str();
-        m.mean = r.f64();
-        m.ci95 = r.f64();
-        res.sample.metrics.push_back(std::move(m));
-    }
-
-    const std::uint64_t n_tenants = r.count(8 * 3);
-    res.tenants.clear();
-    res.tenants.reserve(n_tenants);
-    for (std::uint64_t i = 0; i < n_tenants && r.ok(); ++i) {
-        TenantStat t;
-        t.accesses = r.u64();
-        t.ml2Faults = r.u64();
-        t.footprintBytes = r.u64();
-        TMCC_RETURN_IF_ERROR(
-            deserializeHistogram(r, t.ml2FaultLatency));
-        res.tenants.push_back(std::move(t));
-    }
-
-    if (!r.ok())
-        return Status::truncated("SimResult payload too short");
-    return Status::okStatus();
+    return deserializeField(r, res);
 }
 
 std::string
@@ -496,7 +129,7 @@ ShardSpec::save(const std::string &path) const
     w.str(gridKey);
     w.u32(shardId);
     w.u32(workerJobs);
-    serializeIndices(w, configIndices);
+    serializeField(w, configIndices);
     w.u64(configs.size());
     for (const SimConfig &cfg : configs)
         serializeSimConfig(w, cfg);
@@ -515,8 +148,7 @@ ShardSpec::load(const std::string &path)
     spec.gridKey = r.str();
     spec.shardId = r.u32();
     spec.workerJobs = r.u32();
-    TMCC_RETURN_IF_ERROR(
-        deserializeIndices(r, spec.configIndices, "ShardSpec indices"));
+    TMCC_RETURN_IF_ERROR(deserializeField(r, spec.configIndices));
     const std::uint64_t n = r.count(1);
     spec.configs.reserve(n);
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -542,7 +174,7 @@ ShardResultFile::save(const std::string &path) const
     w.u64(ckptDiskHits);
     w.u64(ckptMisses);
     w.u64(ckptRejected);
-    serializeIndices(w, configIndices);
+    serializeField(w, configIndices);
     w.u64(results.size());
     for (const SimResult &res : results)
         serializeSimResult(w, res);
@@ -568,8 +200,7 @@ ShardResultFile::load(const std::string &path)
     if (file.attempt == 0)
         return Status::corruption("ShardResultFile attempt must be "
                                   "positive");
-    TMCC_RETURN_IF_ERROR(deserializeIndices(r, file.configIndices,
-                                            "ShardResultFile indices"));
+    TMCC_RETURN_IF_ERROR(deserializeField(r, file.configIndices));
     const std::uint64_t n = r.count(1);
     file.results.reserve(n);
     for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -607,7 +238,7 @@ SweepManifest::save(const std::string &path) const
         w.u8(static_cast<std::uint8_t>(s.state));
         w.u32(s.attempts);
         w.str(s.lastError);
-        serializeIndices(w, s.configIndices);
+        serializeField(w, s.configIndices);
     }
     return writeVersionedFile(path, manifestMagic, formatVersion,
                               w.buffer());
@@ -634,8 +265,7 @@ SweepManifest::load(const std::string &path)
         s.state = static_cast<ShardState>(state);
         s.attempts = r.u32();
         s.lastError = r.str();
-        TMCC_RETURN_IF_ERROR(
-            deserializeIndices(r, s.configIndices, "manifest indices"));
+        TMCC_RETURN_IF_ERROR(deserializeField(r, s.configIndices));
         m.shards.push_back(std::move(s));
     }
     TMCC_RETURN_IF_ERROR(r.finish("SweepManifest"));

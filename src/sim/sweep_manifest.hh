@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/serial.hh"
@@ -34,13 +35,107 @@
 namespace tmcc
 {
 
-// Full-fidelity SimConfig/SimResult serialization.  Every field
-// travels; doubles are encoded as their exact bit patterns so a
-// round trip reproduces the value bit-identically.
+// Full-fidelity SimConfig/SimResult serialization: the schema
+// (visitFields) in order, each field encoded by its type.  Doubles
+// travel as their exact bit patterns, so a round trip reproduces every
+// value bit-identically.  deserializeSimConfig also applies
+// SimConfig::validate() and reports a violation as Corruption.
 void serializeSimConfig(ByteWriter &w, const SimConfig &cfg);
 Status deserializeSimConfig(ByteReader &r, SimConfig &cfg);
 void serializeSimResult(ByteWriter &w, const SimResult &res);
 Status deserializeSimResult(ByteReader &r, SimResult &res);
+
+// The leaf codecs of the schema's composite field types.
+void serializeField(ByteWriter &w, const Histogram &h);
+/** Requires `h` to carry the encoded geometry already. */
+Status deserializeField(ByteReader &r, Histogram &h);
+void serializeField(ByteWriter &w, const StatDump &dump);
+Status deserializeField(ByteReader &r, StatDump &dump);
+
+template <class T> inline constexpr bool isVector = false;
+template <class T> inline constexpr bool isVector<std::vector<T>> = true;
+
+/**
+ * Encode one schema field; its type picks the wire format: unsigned ->
+ * u32, 64-bit counts -> u64, double -> f64, bool/enum -> u8, string ->
+ * length-prefixed bytes, vector -> count + each element, and a record
+ * (anything with a visitFields overload) -> its fields in schema order.
+ */
+template <class T>
+void
+serializeField(ByteWriter &w, const T &f)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        w.u8(f ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+        w.u8(static_cast<std::uint8_t>(f));
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        w.u32(f);
+    } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                         std::is_same_v<T, std::size_t>) {
+        w.u64(f);
+    } else if constexpr (std::is_same_v<T, double>) {
+        w.f64(f);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        w.str(f);
+    } else if constexpr (isVector<T>) {
+        w.u64(f.size());
+        for (const auto &e : f)
+            serializeField(w, e);
+    } else {
+        visitFields(f, [&w](const char *, const auto &x, auto...) {
+            serializeField(w, x);
+        });
+    }
+}
+
+/** Decode one schema field written by serializeField; a record stops
+ * at its first bad field. */
+template <class T>
+Status
+deserializeField(ByteReader &r, T &f)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        f = r.u8() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+        f = static_cast<T>(r.u8());
+    } else if constexpr (std::is_same_v<T, unsigned>) {
+        f = r.u32();
+    } else if constexpr (std::is_same_v<T, std::uint64_t> ||
+                         std::is_same_v<T, std::size_t>) {
+        f = r.u64();
+    } else if constexpr (std::is_same_v<T, double>) {
+        f = r.f64();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        f = r.str();
+    } else if constexpr (isVector<T>) {
+        using Elem = typename T::value_type;
+        // A default element encodes to the smallest one possible, which
+        // bounds the count (and the reserve) by the remaining input.
+        static const std::size_t minBytes = [] {
+            ByteWriter w;
+            serializeField(w, Elem{});
+            return w.buffer().size();
+        }();
+        const std::uint64_t n = r.count(minBytes);
+        f.clear();
+        f.reserve(n);
+        for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+            Elem e;
+            TMCC_RETURN_IF_ERROR(deserializeField(r, e));
+            f.push_back(std::move(e));
+        }
+    } else {
+        Status s;
+        visitFields(f, [&](const char *, auto &x, auto...) {
+            if (s.ok())
+                s = deserializeField(r, x);
+        });
+        return s;
+    }
+    return r.ok() ? Status::okStatus()
+                  : Status::truncated("schema field payload too short");
+}
 
 /**
  * Deterministic fingerprint of a config grid (FNV-1a over the

@@ -610,9 +610,12 @@ QueueClient::run(const std::vector<SimConfig> &grid,
             ++out.resumedShards;
             queueResumedTotal.fetch_add(1);
         }
-        if (file.attempt > 1) {
+        // The shard needed more than one claim.  Only the first merge
+        // counts it: a shard the manifest already records as Done is
+        // resumed history, not a reclaim of this sweep.
+        if (file.attempt > 1 && shard.state != ShardState::Done) {
             queueReclaimedTotal.fetch_add(1);
-            ++out.retries; // the shard needed more than one claim
+            ++out.retries;
         }
         shard.state = ShardState::Done;
         shard.attempts = file.attempt;

@@ -269,7 +269,7 @@ class QueueClient
     {
         std::uint64_t sweeps = 0;          //!< enqueued
         std::uint64_t mergedShards = 0;    //!< results merged
-        std::uint64_t reclaimedShards = 0; //!< merged with attempt > 1
+        std::uint64_t reclaimedShards = 0; //!< first merged at attempt > 1
         std::uint64_t resumedShards = 0;   //!< satisfied on enqueue
     };
     static Totals totals();

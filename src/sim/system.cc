@@ -14,31 +14,6 @@
 namespace tmcc
 {
 
-SimConfig
-SimConfig::scaledDefault()
-{
-    SimConfig cfg;
-    cfg.scale = 0.25;           // graph footprints ~115MB
-    cfg.tlbEntries = 1024;      // reach 4MB
-    cfg.hierarchy.l3Bytes = 2 * 1024 * 1024;
-    // CTE caches keep their Table III sizes; only footprints shrink,
-    // so the reach hierarchy (TMCC 32MB = 4x Compresso 8MB ~ TLB 4MB)
-    // is preserved at a gentler footprint/reach ratio.
-    cfg.compresso.cteCacheBytes = 128 * 1024; // reach 8MB
-    cfg.compresso.llcVictimBytes = 256 * 1024;
-    cfg.osMc.cteCacheBytes = 32 * 1024;       // reach 16MB
-    cfg.osMc.freeListLow = 1000;
-    cfg.osMc.freeListCritical = 750;
-    // The 1% Recency List sampling of §IV-B assumes ML1 >> hot set so
-    // stale ordering is harmless; with reaches scaled down ~400x the
-    // sampling rate scales up to keep the ordering quality comparable.
-    cfg.osMc.recencySampleP = 0.10;
-    cfg.placementAccesses = 300'000;
-    cfg.warmAccesses = 200'000;
-    cfg.measureAccesses = 300'000;
-    return cfg;
-}
-
 Ppn
 System::dataFrame(Ppn ppn) const
 {
@@ -49,24 +24,12 @@ System::dataFrame(Ppn ppn) const
     return w.ppn;
 }
 
-const char *
-archName(Arch arch)
-{
-    switch (arch) {
-      case Arch::NoCompression: return "no-compression";
-      case Arch::Compresso: return "compresso";
-      case Arch::Barebone: return "os-inspired-barebone";
-      case Arch::BarebonePlusMl1: return "barebone+ml1opt";
-      case Arch::BarebonePlusMl2: return "barebone+ml2opt";
-      case Arch::Tmcc: return "tmcc";
-    }
-    return "?";
-}
-
 System::System(const SimConfig &cfg,
                std::shared_ptr<const SetupCheckpoint> restore)
     : cfg_(cfg), restore_(std::move(restore))
 {
+    if (const Status valid = cfg_.validate(); !valid.ok())
+        fatal("invalid config: " + valid.message());
     cpuPeriod_ = nsToTicks(1.0 / cfg.cpuGhz);
 
     buildWorkloads();
@@ -733,38 +696,11 @@ System::run()
 SimResult
 System::measure()
 {
-    validateRunConfig();
     if (!setupDone_)
         setup();
     if (cfg_.sampleWindows > 0)
         return measureSampled();
     return measureExact();
-}
-
-void
-System::validateRunConfig() const
-{
-    fatalIf(cfg_.sampleWindows == 0 &&
-                (cfg_.sampleWindowAccesses != 0 ||
-                 cfg_.sampleWarmAccesses != 0),
-            "sample window/warm-up sizes set but the sample window "
-            "count is zero");
-    if (cfg_.sampleWindows == 0)
-        return;
-    fatalIf(cfg_.sampleWindowAccesses == 0,
-            "sample window size must be positive");
-    const std::uint64_t per_window =
-        cfg_.sampleWindowAccesses + cfg_.sampleWarmAccesses;
-    fatalIf(cfg_.sampleWindows > cfg_.measureAccesses / per_window,
-            "sampling needs windows x (window + warm-up) accesses <= "
-            "measure accesses (" +
-                std::to_string(cfg_.sampleWindows) + " x " +
-                std::to_string(per_window) + " > " +
-                std::to_string(cfg_.measureAccesses) + ")");
-    fatalIf(cfg_.statsInterval > 0 &&
-                cfg_.statsInterval < cfg_.sampleWindowAccesses,
-            "--stats-interval must be at least the sample window size "
-            "(epochs cannot be finer than the detailed windows)");
 }
 
 SimResult

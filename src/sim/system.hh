@@ -130,9 +130,6 @@ class System
     // (sim/access_path.hh) and needs the private state.
     template <bool Tracing> friend struct AccessEngine;
 
-    /** Reject invalid --sample / --stats-interval combinations. */
-    void validateRunConfig() const;
-
     /** Run `per_core` detailed warm-up accesses on every core. */
     void runWarm(std::uint64_t per_core);
     template <bool Tracing> void runWarmImpl(std::uint64_t per_core);

@@ -18,6 +18,7 @@
 #include "sim/checkpoint.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
+#include "tests/sim/result_compare.hh"
 
 namespace tmcc
 {
@@ -43,32 +44,6 @@ constexpr Arch allArchs[] = {
     Arch::Barebone,         Arch::BarebonePlusMl1,
     Arch::BarebonePlusMl2,  Arch::Tmcc,
 };
-
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.storeAccesses, b.storeAccesses);
-    EXPECT_EQ(a.elapsed, b.elapsed);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.tlbHits, b.tlbHits);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks);
-    EXPECT_EQ(a.cteHits, b.cteHits);
-    EXPECT_EQ(a.cteMisses, b.cteMisses);
-    EXPECT_EQ(a.ml1CteHit, b.ml1CteHit);
-    EXPECT_EQ(a.ml1Parallel, b.ml1Parallel);
-    EXPECT_EQ(a.ml1Mismatch, b.ml1Mismatch);
-    EXPECT_EQ(a.ml1Serial, b.ml1Serial);
-    EXPECT_EQ(a.ml2Accesses, b.ml2Accesses);
-    EXPECT_EQ(a.footprintBytes, b.footprintBytes);
-    EXPECT_EQ(a.dramUsedBytes, b.dramUsedBytes);
-    EXPECT_EQ(a.avgL3MissLatencyNs, b.avgL3MissLatencyNs);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
-    // The full counter dump: every component, every stat.
-    EXPECT_EQ(a.stats.all(), b.stats.all());
-}
 
 /** Build the (arch-invariant) checkpoint for `cfg` directly. */
 std::shared_ptr<const SetupCheckpoint>

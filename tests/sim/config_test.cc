@@ -1,6 +1,9 @@
 /** Tests for configuration presets and remaining workload sets. */
 
+#include <cmath>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -199,6 +202,111 @@ TEST(NestedPaging, DeterministicAndConsistent)
     const SimResult rb = b.run();
     EXPECT_EQ(ra.elapsed, rb.elapsed);
     EXPECT_EQ(ra.llcMisses, rb.llcMisses);
+}
+
+// ---- SimConfig::validate(): the one gate for sim-level ranges ------
+
+TEST(ConfigValidate, AcceptsDefaultsAndBounds)
+{
+    EXPECT_TRUE(SimConfig{}.validate().ok());
+    EXPECT_TRUE(SimConfig::scaledDefault().validate().ok());
+    SimConfig cfg = SimConfig::scaledDefault();
+    cfg.scale = SimConfig::kMinScale;
+    cfg.cores = SimConfig::kMaxCores;
+    EXPECT_TRUE(cfg.validate().ok());
+    cfg.scale = SimConfig::kMaxScale;
+    cfg.cores = 1;
+    cfg.cteBufferEntries = CteBuffer::maxEntries;
+    EXPECT_TRUE(cfg.validate().ok());
+}
+
+TEST(ConfigValidate, RejectsEachRule)
+{
+    struct Case
+    {
+        const char *what;
+        void (*mutate)(SimConfig &);
+    };
+    const Case cases[] = {
+        {"arch", [](SimConfig &c) { c.arch = static_cast<Arch>(6); }},
+        {"scale", [](SimConfig &c) { c.scale = 0.0; }},
+        {"scale", [](SimConfig &c) { c.scale = SimConfig::kMinScale / 2; }},
+        {"scale", [](SimConfig &c) { c.scale = 1e-9; }},
+        {"scale", [](SimConfig &c) { c.scale = SimConfig::kMaxScale * 2; }},
+        {"scale", [](SimConfig &c) { c.scale = 1e9; }},
+        {"scale", [](SimConfig &c) { c.scale = std::nan(""); }},
+        {"scale", [](SimConfig &c) { c.scale = HUGE_VAL; }},
+        {"cores", [](SimConfig &c) { c.cores = 0; }},
+        {"cores", [](SimConfig &c) { c.cores = SimConfig::kMaxCores + 1; }},
+        {"cores", [](SimConfig &c) { c.cores = 100000; }},
+        {"cteBufferEntries", [](SimConfig &c) { c.cteBufferEntries = 0; }},
+        {"cteBufferEntries",
+         [](SimConfig &c) {
+             c.cteBufferEntries = CteBuffer::maxEntries + 1;
+         }},
+        {"window count is zero",
+         [](SimConfig &c) { c.sampleWindowAccesses = 10; }},
+        {"window count is zero",
+         [](SimConfig &c) { c.sampleWarmAccesses = 10; }},
+        {"sample window size must be positive",
+         [](SimConfig &c) { c.sampleWindows = 2; }},
+        {"windows x (window + warm-up)",
+         [](SimConfig &c) {
+             c.sampleWindows = 100;
+             c.sampleWindowAccesses = c.measureAccesses / 100 + 1;
+         }},
+        {"windows x (window + warm-up)",
+         [](SimConfig &c) { // window + warm-up wraps around
+             c.sampleWindows = 1;
+             c.sampleWindowAccesses = ~0ULL;
+             c.sampleWarmAccesses = 1;
+         }},
+        {"--stats-interval",
+         [](SimConfig &c) {
+             c.sampleWindows = 2;
+             c.sampleWindowAccesses = 1000;
+             c.statsInterval = 999;
+         }},
+    };
+    for (const Case &tc : cases) {
+        SimConfig cfg = SimConfig::scaledDefault();
+        tc.mutate(cfg);
+        const Status s = cfg.validate();
+        SCOPED_TRACE(s.toString());
+        ASSERT_FALSE(s.ok()) << tc.what;
+        EXPECT_EQ(s.code(), StatusCode::InvalidArgument);
+        EXPECT_NE(s.message().find(tc.what), std::string::npos);
+    }
+}
+
+TEST(ConfigValidateDeath, SystemExitsOneOnInvalidConfig)
+{
+    SimConfig cfg = SimConfig::scaledDefault();
+    cfg.scale = 1e-9;
+    EXPECT_EXIT(System{cfg}, ::testing::ExitedWithCode(1),
+                "invalid config: scale 1e-09 outside");
+}
+
+TEST(ConfigValidate, EveryWorkloadRunsAtMinScale)
+{
+    // The lower bound is only safe if every named workload can lay out
+    // and run there (too small a scale used to panic in setup).
+    std::vector<std::string> names = largeWorkloadNames();
+    for (const auto *set : {&smallWorkloadNames(), &bandwidthWorkloadNames()})
+        names.insert(names.end(), set->begin(), set->end());
+    names.push_back("memcloud");
+    for (const std::string &name : names) {
+        SCOPED_TRACE(name);
+        SimConfig cfg = SimConfig::scaledDefault();
+        cfg.workload = name;
+        cfg.scale = SimConfig::kMinScale;
+        cfg.placementAccesses = 2000;
+        cfg.warmAccesses = 1000;
+        cfg.measureAccesses = 2000;
+        const SimResult r = System(cfg).run();
+        EXPECT_GT(r.accesses, 0u);
+        EXPECT_GT(r.footprintBytes, 0u);
+    }
 }
 
 } // namespace

@@ -32,6 +32,7 @@
 #include "common/trace.hh"
 #include "sim/sweep_manifest.hh"
 #include "sim/system.hh"
+#include "tests/sim/result_compare.hh"
 
 namespace tmcc
 {
@@ -66,22 +67,6 @@ constexpr Arch allArchs[] = {
     Arch::Barebone,         Arch::BarebonePlusMl1,
     Arch::BarebonePlusMl2,  Arch::Tmcc,
 };
-
-/**
- * Canonical byte string of a SimResult with the wall-clock-only fields
- * zeroed (they legitimately differ run to run and are documented as
- * excluded from bit-identity comparisons).
- */
-std::vector<std::uint8_t>
-fingerprint(SimResult res)
-{
-    res.setupSeconds = 0.0;
-    res.measureSeconds = 0.0;
-    res.restoredFromCheckpoint = false;
-    ByteWriter w;
-    serializeSimResult(w, res);
-    return w.take();
-}
 
 SimResult
 run(const SimConfig &cfg)

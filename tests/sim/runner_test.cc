@@ -13,6 +13,7 @@
 
 #include "sim/runner.hh"
 #include "sim/system.hh"
+#include "tests/sim/result_compare.hh"
 
 namespace tmcc
 {
@@ -44,34 +45,6 @@ grid()
         tinyConfig(Arch::Barebone, "stream"),
         tinyConfig(Arch::Tmcc, "blackscholes", 0.1),
     };
-}
-
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.storeAccesses, b.storeAccesses);
-    EXPECT_EQ(a.elapsed, b.elapsed);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.tlbHits, b.tlbHits);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks);
-    EXPECT_EQ(a.cteHits, b.cteHits);
-    EXPECT_EQ(a.cteMisses, b.cteMisses);
-    EXPECT_EQ(a.cteMissesAfterTlbMiss, b.cteMissesAfterTlbMiss);
-    EXPECT_EQ(a.ml1CteHit, b.ml1CteHit);
-    EXPECT_EQ(a.ml1Parallel, b.ml1Parallel);
-    EXPECT_EQ(a.ml1Mismatch, b.ml1Mismatch);
-    EXPECT_EQ(a.ml1Serial, b.ml1Serial);
-    EXPECT_EQ(a.ml2Accesses, b.ml2Accesses);
-    EXPECT_EQ(a.footprintBytes, b.footprintBytes);
-    EXPECT_EQ(a.dramUsedBytes, b.dramUsedBytes);
-    // Bit-identical, not approximately equal: the parallel run must not
-    // perturb any arithmetic.
-    EXPECT_EQ(a.avgL3MissLatencyNs, b.avgL3MissLatencyNs);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
-    EXPECT_EQ(a.stats.all(), b.stats.all());
 }
 
 TEST(SimRunner, ParallelMatchesSerialBitIdentically)
@@ -177,6 +150,13 @@ TEST(SimRunnerDeathTest, RejectsMalformedTmccJobs)
     EXPECT_DEATH(
         {
             setenv("TMCC_JOBS", "-3", 1);
+            SimRunner::defaultJobs();
+        },
+        "TMCC_JOBS");
+    // 2^32 + 1 would wrap to 1 worker in an unsigned.
+    EXPECT_DEATH(
+        {
+            setenv("TMCC_JOBS", "4294967297", 1);
             SimRunner::defaultJobs();
         },
         "TMCC_JOBS");

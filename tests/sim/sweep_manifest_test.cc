@@ -9,9 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <unistd.h>
@@ -19,8 +22,10 @@
 #include "common/serial.hh"
 #include "common/status.hh"
 #include "common/versioned_file.hh"
+#include "sim/checkpoint.hh"
 #include "sim/sweep_manifest.hh"
 #include "sim/sweep_queue.hh"
+#include "tests/sim/result_compare.hh"
 #include "tmcc/cte_buffer.hh"
 
 namespace tmcc
@@ -56,7 +61,7 @@ class SweepManifestTest : public ::testing::Test
     fs::path dir_;
 };
 
-/** A config with every field nudged off its default. */
+/** A valid config with every field nudged off its default. */
 SimConfig
 fancyConfig()
 {
@@ -93,7 +98,7 @@ fancyConfig()
     cfg.placementAccesses = 111;
     cfg.warmAccesses = 222;
     cfg.measureAccesses = 333;
-    cfg.statsInterval = 44;
+    cfg.statsInterval = 55; // >= the sample window: valid
     cfg.sampleWindows = 5;
     cfg.sampleWindowAccesses = 50;
     cfg.sampleWarmAccesses = 10;
@@ -167,113 +172,141 @@ fancyResult()
     return res;
 }
 
-void
-expectConfigEqual(const SimConfig &a, const SimConfig &b)
+std::vector<std::uint8_t>
+configBytes(const SimConfig &cfg)
 {
-    ByteWriter wa, wb;
-    serializeSimConfig(wa, a);
-    serializeSimConfig(wb, b);
-    EXPECT_EQ(wa.buffer(), wb.buffer());
-    // Spot-check a few fields directly so a serializer that drops a
-    // field on both sides can't fake the comparison above.
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.scale, b.scale);
-    EXPECT_EQ(a.arch, b.arch);
-    EXPECT_EQ(a.osMc.faults.ml2BitFlipRate, b.osMc.faults.ml2BitFlipRate);
-    EXPECT_EQ(a.statsInterval, b.statsInterval);
-    EXPECT_EQ(a.sampleWindows, b.sampleWindows);
-    EXPECT_EQ(a.sampleWindowAccesses, b.sampleWindowAccesses);
-    EXPECT_EQ(a.sampleWarmAccesses, b.sampleWarmAccesses);
-    EXPECT_EQ(a.tenants, b.tenants);
-    EXPECT_EQ(a.tenantChurn, b.tenantChurn);
-    EXPECT_EQ(a.tenantZipf, b.tenantZipf);
+    ByteWriter w;
+    serializeSimConfig(w, cfg);
+    return w.take();
 }
 
-void
-expectResultEqual(const SimResult &a, const SimResult &b)
+std::vector<std::uint8_t>
+resultBytes(const SimResult &res)
 {
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.storeAccesses, b.storeAccesses);
-    EXPECT_EQ(a.elapsed, b.elapsed);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.tlbHits, b.tlbHits);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks);
-    EXPECT_EQ(a.cteHits, b.cteHits);
-    EXPECT_EQ(a.cteMisses, b.cteMisses);
-    EXPECT_EQ(a.cteMissesAfterTlbMiss, b.cteMissesAfterTlbMiss);
-    EXPECT_EQ(a.ml1CteHit, b.ml1CteHit);
-    EXPECT_EQ(a.ml1Parallel, b.ml1Parallel);
-    EXPECT_EQ(a.ml1Mismatch, b.ml1Mismatch);
-    EXPECT_EQ(a.ml1Serial, b.ml1Serial);
-    EXPECT_EQ(a.ml2Accesses, b.ml2Accesses);
-    // Doubles bit-exact, not approximately equal.
-    EXPECT_EQ(a.avgL3MissLatencyNs, b.avgL3MissLatencyNs);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
-    EXPECT_EQ(a.footprintBytes, b.footprintBytes);
-    EXPECT_EQ(a.dramUsedBytes, b.dramUsedBytes);
-    EXPECT_EQ(a.setupSeconds, b.setupSeconds);
-    EXPECT_EQ(a.measureSeconds, b.measureSeconds);
-    EXPECT_EQ(a.restoredFromCheckpoint, b.restoredFromCheckpoint);
-    EXPECT_EQ(a.stats.all(), b.stats.all());
-    EXPECT_EQ(a.l3MissLatency.buckets(), b.l3MissLatency.buckets());
-    EXPECT_EQ(a.l3MissLatency.underflow(), b.l3MissLatency.underflow());
-    EXPECT_EQ(a.l3MissLatency.overflow(), b.l3MissLatency.overflow());
-    EXPECT_EQ(a.l3MissLatency.sampleSum(), b.l3MissLatency.sampleSum());
-    EXPECT_EQ(a.l3MissLatency.count(), b.l3MissLatency.count());
-    EXPECT_EQ(a.l3MissLatency.mean(), b.l3MissLatency.mean());
-    EXPECT_EQ(a.pageWalkLatency.sampleSum(),
-              b.pageWalkLatency.sampleSum());
-    EXPECT_EQ(a.ml2FaultLatency.overflow(), b.ml2FaultLatency.overflow());
-    ASSERT_EQ(a.epochs.size(), b.epochs.size());
-    for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-        EXPECT_EQ(a.epochs[i].accesses, b.epochs[i].accesses);
-        EXPECT_EQ(a.epochs[i].deltaAccesses, b.epochs[i].deltaAccesses);
-        EXPECT_EQ(a.epochs[i].endTick, b.epochs[i].endTick);
-        EXPECT_EQ(a.epochs[i].ml2AccessRate, b.epochs[i].ml2AccessRate);
-        EXPECT_EQ(a.epochs[i].cteHitRate, b.epochs[i].cteHitRate);
-        EXPECT_EQ(a.epochs[i].dramUsedBytes, b.epochs[i].dramUsedBytes);
-        EXPECT_EQ(a.epochs[i].delta.all(), b.epochs[i].delta.all());
-    }
-    EXPECT_EQ(a.sample.windows, b.sample.windows);
-    EXPECT_EQ(a.sample.windowAccesses, b.sample.windowAccesses);
-    EXPECT_EQ(a.sample.warmupAccesses, b.sample.warmupAccesses);
-    EXPECT_EQ(a.sample.ffAccesses, b.sample.ffAccesses);
-    ASSERT_EQ(a.sample.metrics.size(), b.sample.metrics.size());
-    for (std::size_t i = 0; i < a.sample.metrics.size(); ++i) {
-        EXPECT_EQ(a.sample.metrics[i].name, b.sample.metrics[i].name);
-        EXPECT_EQ(a.sample.metrics[i].mean, b.sample.metrics[i].mean);
-        EXPECT_EQ(a.sample.metrics[i].ci95, b.sample.metrics[i].ci95);
-    }
-    ASSERT_EQ(a.tenants.size(), b.tenants.size());
-    for (std::size_t i = 0; i < a.tenants.size(); ++i) {
-        EXPECT_EQ(a.tenants[i].accesses, b.tenants[i].accesses);
-        EXPECT_EQ(a.tenants[i].ml2Faults, b.tenants[i].ml2Faults);
-        EXPECT_EQ(a.tenants[i].footprintBytes,
-                  b.tenants[i].footprintBytes);
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.buckets(),
-                  b.tenants[i].ml2FaultLatency.buckets());
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.overflow(),
-                  b.tenants[i].ml2FaultLatency.overflow());
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.sampleSum(),
-                  b.tenants[i].ml2FaultLatency.sampleSum());
-        EXPECT_EQ(a.tenants[i].ml2FaultLatency.count(),
-                  b.tenants[i].ml2FaultLatency.count());
-    }
+    ByteWriter w;
+    serializeSimResult(w, res);
+    return w.take();
+}
+
+std::string
+digest(const std::vector<std::uint8_t> &bytes)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(bytes.data(), bytes.size())));
+    return buf;
+}
+
+std::size_t
+configFieldCount()
+{
+    std::size_t n = 0;
+    const SimConfig cfg;
+    visitFields(cfg, [&n](const char *, const auto &, FieldTag) { ++n; });
+    return n;
+}
+
+/** Move a value off its current one; on fancyConfig() every field
+ * stays valid (odd counts drop by one, even ones rise by one). */
+template <class T>
+void
+perturb(T &f)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        f = !f;
+    else if constexpr (std::is_enum_v<T>)
+        f = static_cast<T>(static_cast<unsigned>(f) ^ 1);
+    else if constexpr (std::is_same_v<T, double>)
+        f = std::nextafter(f, HUGE_VAL);
+    else if constexpr (std::is_same_v<T, std::string>)
+        f += "x";
+    else
+        f ^= 1;
+}
+
+/** Is schema field `index` of `a` equal to the same field of `b`?
+ * Compared by value, independent of the codec. */
+bool
+fieldEqual(const SimConfig &a, const SimConfig &b, std::size_t index)
+{
+    std::vector<const void *> bFields;
+    visitFields(b, [&](const char *, const auto &f, FieldTag) {
+        bFields.push_back(&f);
+    });
+    bool eq = false;
+    std::size_t k = 0;
+    visitFields(a, [&](const char *, const auto &f, FieldTag) {
+        using T = std::remove_cvref_t<decltype(f)>;
+        if (k == index)
+            eq = f == *static_cast<const T *>(bFields[k]);
+        ++k;
+    });
+    return eq;
 }
 
 TEST_F(SweepManifestTest, SimConfigRoundTripsEveryField)
 {
-    const SimConfig cfg = fancyConfig();
-    ByteWriter w;
-    serializeSimConfig(w, cfg);
+    // Perturb each schema field alone: the payload and the grid key
+    // must notice, the round trip must restore it, and the checkpoint
+    // key must change exactly for the Setup-tagged fields.
+    const SimConfig base = fancyConfig();
+    ASSERT_TRUE(base.validate().ok()) << base.validate().toString();
+    const std::vector<std::uint8_t> basePayload = configBytes(base);
+    const std::string baseGridKey = sweepGridKey({base});
+    const std::string baseSetupKey = SetupCheckpoint::keyFor(base);
 
-    ByteReader r(w.buffer());
-    SimConfig back;
-    ASSERT_TRUE(deserializeSimConfig(r, back).ok());
-    ASSERT_TRUE(r.finish("config").ok());
-    expectConfigEqual(cfg, back);
+    const std::size_t n = configFieldCount();
+    EXPECT_EQ(n, 83u); // Table III plus the run knobs
+    std::set<std::string> names;
+    std::size_t setupFields = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        SimConfig cfg = base;
+        std::string name;
+        FieldTag tag = FieldTag::Run;
+        std::size_t k = 0;
+        visitFields(cfg, [&](const char *nm, auto &f, FieldTag t) {
+            if (k++ == i) {
+                perturb(f);
+                name = nm;
+                tag = t;
+            }
+        });
+        SCOPED_TRACE(name);
+        EXPECT_TRUE(names.insert(name).second) << "duplicate field name";
+        ASSERT_FALSE(fieldEqual(cfg, base, i));
+        ASSERT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+
+        const std::vector<std::uint8_t> payload = configBytes(cfg);
+        EXPECT_NE(payload, basePayload);
+        EXPECT_NE(sweepGridKey({cfg}), baseGridKey);
+
+        ByteReader r(payload);
+        SimConfig back;
+        ASSERT_TRUE(deserializeSimConfig(r, back).ok());
+        ASSERT_TRUE(r.finish("config").ok());
+        EXPECT_TRUE(fieldEqual(back, cfg, i));
+        EXPECT_EQ(configBytes(back), payload);
+
+        const bool setup = tag == FieldTag::Setup;
+        setupFields += setup;
+        EXPECT_EQ(SetupCheckpoint::keyFor(cfg) != baseSetupKey, setup);
+    }
+    EXPECT_EQ(setupFields, 10u);
+}
+
+TEST_F(SweepManifestTest, PayloadDigestsArePinned)
+{
+    // Recorded from the hand-written encoders the schema replaced:
+    // shard specs, results, grid keys and the identity digests all
+    // rest on this wire format staying put.
+    EXPECT_EQ(digest(configBytes(SimConfig::scaledDefault())),
+              "a218c451c0397dc9");
+    EXPECT_EQ(digest(configBytes(fancyConfig())), "ebb83233caa3de57");
+    EXPECT_EQ(digest(resultBytes(fancyResult())), "3c99425db7443fc5");
+    EXPECT_EQ(sweepGridKey({fancyConfig(), SimConfig::scaledDefault()}),
+              "f297ebd8728cc9c5");
+    EXPECT_EQ(sweepGridKey({SimConfig{}}), "cfb2421555c882a8");
 }
 
 TEST_F(SweepManifestTest, SimConfigRejectsBadArch)
@@ -302,7 +335,8 @@ TEST_F(SweepManifestTest, SimResultRoundTripsBitExactly)
     SimResult back;
     ASSERT_TRUE(deserializeSimResult(r, back).ok());
     ASSERT_TRUE(r.finish("result").ok());
-    expectResultEqual(res, back);
+    expectIdentical(res, back);
+    EXPECT_EQ(resultBytes(back), w.buffer()); // wall clock included
 }
 
 TEST_F(SweepManifestTest, SimResultTruncatedPayloadRejected)
@@ -354,7 +388,8 @@ TEST_F(SweepManifestTest, ShardSpecRoundTrip)
     EXPECT_EQ(loaded->configIndices, spec.configIndices);
     ASSERT_EQ(loaded->configs.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i)
-        expectConfigEqual(loaded->configs[i], spec.configs[i]);
+        EXPECT_EQ(configBytes(loaded->configs[i]),
+                  configBytes(spec.configs[i]));
 }
 
 TEST_F(SweepManifestTest, QueueRequestRoundTrip)
@@ -384,8 +419,9 @@ TEST_F(SweepManifestTest, ShardResultFileRoundTrip)
     EXPECT_EQ(loaded->shardId, 1u);
     EXPECT_EQ(loaded->configIndices, file.configIndices);
     ASSERT_EQ(loaded->results.size(), 2u);
-    expectResultEqual(loaded->results[0], file.results[0]);
-    expectResultEqual(loaded->results[1], file.results[1]);
+    for (std::size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(resultBytes(loaded->results[i]),
+                  resultBytes(file.results[i]));
 }
 
 TEST_F(SweepManifestTest, ManifestRoundTrip)
@@ -498,6 +534,22 @@ TEST_F(SweepManifestTest, ConfigRejectsImpossibleCteBufferSize)
         ASSERT_TRUE(deserializeSimConfig(r, back).ok()) << entries;
         EXPECT_EQ(back.cteBufferEntries, entries);
     }
+}
+
+TEST_F(SweepManifestTest, ShardSpecWithOutOfRangeScaleIsCorruption)
+{
+    // validate() gates every config a worker loads from a spec.
+    ShardSpec spec;
+    spec.gridKey = "0123456789abcdef";
+    spec.configIndices = {0};
+    spec.configs = {fancyConfig()};
+    spec.configs[0].scale = 1e-9;
+    ASSERT_TRUE(spec.save(path("shard.spec")).ok());
+    const auto loaded = ShardSpec::load(path("shard.spec"));
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::Corruption);
+    EXPECT_NE(loaded.status().message().find("scale"), std::string::npos)
+        << loaded.status().toString();
 }
 
 TEST_F(SweepManifestTest, OldFormatVersionIsRejectedClearly)

@@ -36,6 +36,7 @@
 #include "sim/sweep_daemon.hh"
 #include "sim/sweep_manifest.hh"
 #include "sim/sweep_queue.hh"
+#include "tests/sim/result_compare.hh"
 
 namespace tmcc
 {
@@ -75,32 +76,6 @@ serialBaseline()
     static const std::vector<SimResult> results =
         SimRunner(1).run(grid());
     return results;
-}
-
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.accesses, b.accesses);
-    EXPECT_EQ(a.storeAccesses, b.storeAccesses);
-    EXPECT_EQ(a.elapsed, b.elapsed);
-    EXPECT_EQ(a.tlbMisses, b.tlbMisses);
-    EXPECT_EQ(a.tlbHits, b.tlbHits);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.llcWritebacks, b.llcWritebacks);
-    EXPECT_EQ(a.cteHits, b.cteHits);
-    EXPECT_EQ(a.cteMisses, b.cteMisses);
-    EXPECT_EQ(a.ml2Accesses, b.ml2Accesses);
-    EXPECT_EQ(a.footprintBytes, b.footprintBytes);
-    EXPECT_EQ(a.dramUsedBytes, b.dramUsedBytes);
-    // Bit-identical, not approximately equal: the queue round trip
-    // (serialize, publish, CRC, merge) must not perturb a single bit.
-    EXPECT_EQ(a.avgL3MissLatencyNs, b.avgL3MissLatencyNs);
-    EXPECT_EQ(a.readBusUtil, b.readBusUtil);
-    EXPECT_EQ(a.writeBusUtil, b.writeBusUtil);
-    EXPECT_EQ(a.stats.all(), b.stats.all());
-    EXPECT_EQ(a.l3MissLatency.buckets(), b.l3MissLatency.buckets());
-    EXPECT_EQ(a.l3MissLatency.sampleSum(), b.l3MissLatency.sampleSum());
-    EXPECT_EQ(a.pageWalkLatency.buckets(), b.pageWalkLatency.buckets());
 }
 
 /** Every config merged and bit-identical to the serial run. */
@@ -699,6 +674,26 @@ TEST_F(ShardRunnerTest, UnexecutableWorkerFailsWithinLaunchBudget)
         EXPECT_FALSE(out.resultValid[i]);
 }
 
+TEST_F(ShardRunnerTest, InvalidConfigFailsAtAttemptCap)
+{
+    // A spec holding a config SimConfig::validate() rejects loads as
+    // Corruption in every worker.  Each claim is spent, not released,
+    // so the shard fails at the attempt cap instead of being retried
+    // forever; the valid shard still merges.
+    std::vector<SimConfig> configs = {grid()[0], grid()[1]};
+    configs[1].scale = 1e-9;
+    SweepOutcome out = runFork(forkOptions(queueDir(), 2), configs);
+    EXPECT_FALSE(out.ok());
+    EXPECT_EQ(out.completedShards, 1u);
+    EXPECT_EQ(out.failedShards, 1u);
+    ASSERT_EQ(out.shards.size(), 2u);
+    EXPECT_EQ(out.shards[1].state, ShardState::Failed);
+    EXPECT_EQ(out.shards[1].attempts, kMaxShardAttempts);
+    EXPECT_TRUE(out.resultValid[0]);
+    EXPECT_FALSE(out.resultValid[1]);
+    expectIdentical(serialBaseline()[0], out.results[0]);
+}
+
 TEST_F(ShardRunnerTest, ResumeRerunsOnlyMissingShards)
 {
     // First pass: shard 2 exhausts its attempts and is marked Failed.
@@ -718,6 +713,30 @@ TEST_F(ShardRunnerTest, ResumeRerunsOnlyMissingShards)
     EXPECT_EQ(second.completedShards, 3u);
     EXPECT_EQ(second.shards[2].attempts, 1u);
     expectMergedMatchesSerial(second);
+}
+
+TEST_F(ShardRunnerTest, ResumeDoesNotCountPastReclaims)
+{
+    // Shard 1 is reclaimed once on the first pass (attempt 2 is
+    // stored with its result).  Resuming the finished sweep merges
+    // that result from disk: a reclaim of an earlier run, not this one.
+    ::setenv("TMCC_QUEUE_TEST_KILL", "1@1", 1);
+    SweepOutcome first = runFork(forkOptions(queueDir()), grid());
+    ASSERT_TRUE(first.ok());
+    ASSERT_EQ(first.shards[1].attempts, 2u);
+    EXPECT_EQ(first.retries, 1u);
+
+    ::unsetenv("TMCC_QUEUE_TEST_KILL");
+    const QueueClient::Totals before = QueueClient::totals();
+    SweepOutcome resumed = runFork(forkOptions(queueDir()), grid());
+    const QueueClient::Totals after = QueueClient::totals();
+    EXPECT_TRUE(resumed.ok());
+    EXPECT_EQ(resumed.resumedShards, 3u);
+    EXPECT_EQ(resumed.retries, 0u);
+    EXPECT_EQ(after.reclaimedShards - before.reclaimedShards, 0u);
+    EXPECT_EQ(after.resumedShards - before.resumedShards, 3u);
+    EXPECT_EQ(resumed.shards[1].attempts, 2u); // history is kept
+    expectMergedMatchesSerial(resumed);
 }
 
 TEST_F(ShardRunnerTest, ResumeRejectsTamperedResultFile)
