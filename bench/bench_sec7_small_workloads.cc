@@ -6,6 +6,8 @@
  * effective capacity at equal performance (max 3.1x for blackscholes).
  */
 
+#include <cstdlib>
+
 #include "bench/bench_util.hh"
 
 using namespace tmcc;
@@ -17,9 +19,11 @@ namespace
 SimConfig
 smallConfig(const std::string &name, Arch arch)
 {
-    // Small workloads use their natural (unscaled) footprints.
+    // Small workloads use their natural (unscaled) footprints unless
+    // TMCC_SCALE overrides them, as in every other harness.
     SimConfig cfg = baseConfig(name, arch);
-    cfg.scale = 1.0;
+    if (!std::getenv("TMCC_SCALE"))
+        cfg.scale = 1.0;
     return cfg;
 }
 

@@ -7,13 +7,16 @@
  * Usage: compress_explorer [family] [structure] [repetition]
  *   family: text | pointer-heap | int-array | float-array | graph-csr
  *           | key-value | random   (default graph-csr)
+ *   structure:  regularity in [0, 1] (default 0.5)
+ *   repetition: page-scale repetition factor > 0; 1 or less repeats
+ *               nothing (default 3)
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "common/cli.hh"
 #include "common/rng.hh"
 #include "compress/block_compressor.hh"
 #include "compress/deflate_timing.hh"
@@ -50,8 +53,9 @@ main(int argc, char **argv)
     ContentSpec spec;
     spec.family =
         familyByName(argc > 1 ? argv[1] : "graph-csr");
-    spec.structure = argc > 2 ? std::atof(argv[2]) : 0.5;
-    spec.repetition = argc > 3 ? std::atof(argv[3]) : 3.0;
+    spec.structure = argc > 2 ? parseRate(argv[2], "structure") : 0.5;
+    spec.repetition =
+        argc > 3 ? parsePositiveReal(argv[3], "repetition") : 3.0;
 
     std::printf("content: %s (structure %.2f, repetition %.1f)\n\n",
                 contentFamilyName(spec.family), spec.structure,

@@ -10,9 +10,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/cli.hh"
 #include "sim/system.hh"
 
 using namespace tmcc;
@@ -21,7 +21,8 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "pageRank";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.04;
+    const double scale =
+        argc > 2 ? parsePositiveReal(argv[2], "scale") : 0.04;
 
     std::printf("TMCC quickstart: workload=%s scale=%.3f\n",
                 workload.c_str(), scale);

@@ -26,7 +26,8 @@ CompressoMc::CompressoMc(DramSystem &dram, const PageInfoProvider &info,
       freeChunks_(cfg.chunkBytes), rng_(0xc0de)
 {
     // Seed the chunk pool over the data region (everything below the
-    // CTE table); sized generously, actual usage is what matters.
+    // CTE table); sized generously, actual usage is what matters.  The
+    // list is lazy, so unissued chunks cost no host memory.
     freeChunks_.seed(0, dram.capacityBytes() / cfg.chunkBytes);
 }
 

@@ -8,39 +8,43 @@ namespace tmcc
 {
 
 // ---------------------------------------------------------------------
-// Ml1FreeList
+// SeededFreeList
 // ---------------------------------------------------------------------
 
 void
-Ml1FreeList::seed(DramFrame first, std::uint64_t count)
+SeededFreeList::seed(std::uint64_t base, std::uint64_t count)
 {
-    frames_.reserve(frames_.size() + count);
-    // Push in reverse so pops come out in ascending order.
-    for (std::uint64_t i = count; i-- > 0;)
-        frames_.push_back(first + i);
+    if (!empty())
+        panic(std::string("seed of a non-empty ") + name_);
+    base_ = base;
+    next_ = 0;
+    end_ = count;
 }
 
-DramFrame
-Ml1FreeList::pop()
+std::uint64_t
+SeededFreeList::pop()
 {
-    panicIf(frames_.empty(), "ML1 free list underflow");
+    if (empty())
+        panic(std::string(name_) + " underflow");
     pops_.inc();
-    const DramFrame f = frames_.back();
-    frames_.pop_back();
-    return f;
+    if (recycled_.empty())
+        return base_ + next_++ * stride_;
+    const std::uint64_t entry = recycled_.back();
+    recycled_.pop_back();
+    return entry;
 }
 
 void
-Ml1FreeList::push(DramFrame frame)
+SeededFreeList::push(std::uint64_t entry)
 {
     pushes_.inc();
-    frames_.push_back(frame);
+    recycled_.push_back(entry);
 }
 
 void
-Ml1FreeList::dumpStats(StatDump &dump, const std::string &prefix) const
+SeededFreeList::dumpStats(StatDump &dump, const std::string &prefix) const
 {
-    dump.set(prefix + ".size", frames_.size());
+    dump.set(prefix + ".size", size());
     dump.set(prefix + ".pops", pops_.value());
     dump.set(prefix + ".pushes", pushes_.value());
 }
@@ -184,47 +188,6 @@ Ml2FreeLists::dumpStats(StatDump &dump, const std::string &prefix) const
              superChunksReturned_.value());
     dump.set(prefix + ".live_bytes", liveBytes_);
     dump.set(prefix + ".held_chunks", heldChunks_);
-}
-
-// ---------------------------------------------------------------------
-// ChunkFreeList
-// ---------------------------------------------------------------------
-
-ChunkFreeList::ChunkFreeList(std::size_t chunk_bytes)
-    : chunkBytes_(chunk_bytes)
-{}
-
-void
-ChunkFreeList::seed(Addr base, std::uint64_t chunk_count)
-{
-    chunks_.reserve(chunks_.size() + chunk_count);
-    for (std::uint64_t i = chunk_count; i-- > 0;)
-        chunks_.push_back(base + i * chunkBytes_);
-}
-
-Addr
-ChunkFreeList::pop()
-{
-    panicIf(chunks_.empty(), "chunk free list underflow");
-    pops_.inc();
-    const Addr a = chunks_.back();
-    chunks_.pop_back();
-    return a;
-}
-
-void
-ChunkFreeList::push(Addr chunk_addr)
-{
-    pushes_.inc();
-    chunks_.push_back(chunk_addr);
-}
-
-void
-ChunkFreeList::dumpStats(StatDump &dump, const std::string &prefix) const
-{
-    dump.set(prefix + ".size", chunks_.size());
-    dump.set(prefix + ".pops", pops_.value());
-    dump.set(prefix + ".pushes", pushes_.value());
 }
 
 } // namespace tmcc

@@ -29,25 +29,48 @@
 namespace tmcc
 {
 
-/** ML1 free list: free 4KB DRAM frames (LIFO). */
-class Ml1FreeList : public Stated
+/**
+ * The LIFO list behind Ml1FreeList and ChunkFreeList.  As the hardware
+ * lists keep their links inside the free chunks, free entries cost no
+ * host memory: seed() records only the unissued range [next, end) and
+ * its stride, and pop() hands out `base + next++ * stride` once the
+ * recycled entries (every push()) are used up, so seeded entries pop in
+ * ascending order below every pushed one.  seed() is legal only on an
+ * empty list.
+ */
+class SeededFreeList : public Stated
 {
   public:
-    /** Seed with frames [first, first+count). */
-    void seed(DramFrame first, std::uint64_t count);
+    /** `name` labels panics; `stride` separates seeded entries. */
+    SeededFreeList(const char *name, std::uint64_t stride)
+        : name_(name), stride_(stride)
+    {}
 
-    bool empty() const { return frames_.empty(); }
-    std::size_t size() const { return frames_.size(); }
+    /** Seed an empty list with base, base + stride, ... (count entries). */
+    void seed(std::uint64_t base, std::uint64_t count);
 
-    DramFrame pop();
-    void push(DramFrame frame);
+    bool empty() const { return size() == 0; }
+    std::size_t size() const { return recycled_.size() + (end_ - next_); }
+
+    std::uint64_t pop();
+    void push(std::uint64_t entry);
 
     void dumpStats(StatDump &dump,
                    const std::string &prefix) const override;
 
   private:
-    std::vector<DramFrame> frames_;
+    const char *name_;
+    std::uint64_t stride_;
+    std::uint64_t base_ = 0, next_ = 0, end_ = 0;
+    std::vector<std::uint64_t> recycled_;
     Counter pops_, pushes_;
+};
+
+/** ML1 free list: free 4KB DRAM frames (LIFO). */
+class Ml1FreeList : public SeededFreeList
+{
+  public:
+    Ml1FreeList() : SeededFreeList("ML1 free list", 1) {}
 };
 
 /** Sub-chunk size classes used by ML2. */
@@ -154,28 +177,13 @@ class Ml2FreeLists : public Stated
     Counter allocs_, frees_, superChunksCreated_, superChunksReturned_;
 };
 
-/** Compresso-style free list of 512B chunks. */
-class ChunkFreeList : public Stated
+/** Compresso-style free list of 512B chunks (byte addresses, LIFO). */
+class ChunkFreeList : public SeededFreeList
 {
   public:
-    explicit ChunkFreeList(std::size_t chunk_bytes = 512);
-
-    void seed(Addr base, std::uint64_t chunk_count);
-
-    bool empty() const { return chunks_.empty(); }
-    std::size_t size() const { return chunks_.size(); }
-    std::size_t chunkBytes() const { return chunkBytes_; }
-
-    Addr pop();
-    void push(Addr chunk_addr);
-
-    void dumpStats(StatDump &dump,
-                   const std::string &prefix) const override;
-
-  private:
-    std::size_t chunkBytes_;
-    std::vector<Addr> chunks_;
-    Counter pops_, pushes_;
+    explicit ChunkFreeList(std::size_t chunk_bytes = 512)
+        : SeededFreeList("chunk free list", chunk_bytes)
+    {}
 };
 
 } // namespace tmcc

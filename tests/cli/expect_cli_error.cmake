@@ -4,6 +4,9 @@
 # that parses but fails SimConfig::validate() is reported under).
 #
 #   cmake -DEXE=... -DFLAG=--scale -DVALUE=abc [-DEXTRA=...] [-DNAME=scale] -P this
+#
+# FLAG and VALUE may be left out when the bad value comes from the
+# environment (the test's ENVIRONMENT property); NAME is then required.
 if(DEFINED EXTRA)
     set(cmd ${EXE} ${FLAG} ${VALUE} ${EXTRA})
 else()

@@ -1,6 +1,7 @@
 /** Tests for the ML1/ML2 free lists (Fig. 3) and Compresso chunks. */
 
 #include <chrono>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -284,6 +285,140 @@ TEST(ChunkFreeList, SeedPopPush)
     EXPECT_EQ(a, 0x10000u);
     list.push(a);
     EXPECT_EQ(list.pop(), a);
+}
+
+/** The eagerly seeded list SeededFreeList replaced: every seeded entry
+ * is stored, pushed in descending order so pops ascend. */
+class EagerFreeList
+{
+  public:
+    explicit EagerFreeList(std::uint64_t stride) : stride_(stride) {}
+
+    void
+    seed(std::uint64_t base, std::uint64_t count)
+    {
+        for (std::uint64_t i = count; i-- > 0;)
+            entries_.push_back(base + i * stride_);
+    }
+    bool empty() const { return entries_.empty(); }
+    std::size_t size() const { return entries_.size(); }
+    std::uint64_t
+    pop()
+    {
+        const std::uint64_t e = entries_.back();
+        entries_.pop_back();
+        return e;
+    }
+    void push(std::uint64_t e) { entries_.push_back(e); }
+
+  private:
+    std::uint64_t stride_;
+    std::vector<std::uint64_t> entries_;
+};
+
+/** Drive `list` and the eager list through the same seeded stream of
+ * pops, pushes of popped entries and re-seeds of a drained list (as
+ * OsInspiredMc's overrun refill does); they must agree at every step. */
+void
+expectMatchesEagerList(SeededFreeList &list, std::uint64_t stride,
+                       std::uint64_t rng_seed)
+{
+    EagerFreeList eager(stride);
+    Rng rng(rng_seed);
+    std::uint64_t next_base = 0x40000 * stride;
+    list.seed(next_base, 300);
+    eager.seed(next_base, 300);
+
+    std::vector<std::uint64_t> held;
+    std::uint64_t pops = 0, pushes = 0, reseeds = 0;
+    for (int step = 0; step < 50000; ++step) {
+        if (eager.empty() && (held.empty() || rng.chance(0.3))) {
+            next_base += 1000 * stride;
+            const std::uint64_t count = rng.range(1, 64);
+            list.seed(next_base, count);
+            eager.seed(next_base, count);
+            ++reseeds;
+        } else if (!eager.empty() && (held.empty() || rng.chance(0.55))) {
+            const std::uint64_t e = eager.pop();
+            ASSERT_EQ(list.pop(), e) << "step " << step;
+            held.push_back(e);
+            ++pops;
+        } else {
+            const std::size_t i = rng.below(held.size());
+            std::swap(held[i], held.back());
+            list.push(held.back());
+            eager.push(held.back());
+            held.pop_back();
+            ++pushes;
+        }
+        ASSERT_EQ(list.size(), eager.size()) << "step " << step;
+        ASSERT_EQ(list.empty(), eager.empty()) << "step " << step;
+    }
+    // The stream exercised every path, and the counters saw it all.
+    EXPECT_GT(reseeds, 10u);
+    EXPECT_GT(pushes, 1000u);
+    StatDump dump;
+    list.dumpStats(dump, "fl");
+    EXPECT_EQ(dump.getRequired("fl.pops"), static_cast<double>(pops));
+    EXPECT_EQ(dump.getRequired("fl.pushes"), static_cast<double>(pushes));
+    EXPECT_EQ(dump.getRequired("fl.size"), static_cast<double>(eager.size()));
+}
+
+TEST(SeededFreeList, Ml1MatchesEagerList)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        Ml1FreeList list;
+        expectMatchesEagerList(list, 1, seed);
+    }
+}
+
+TEST(SeededFreeList, ChunkMatchesEagerList)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        ChunkFreeList list(512);
+        expectMatchesEagerList(list, 512, seed);
+    }
+}
+
+TEST(SeededFreeList, SeedIsLazy)
+{
+    // An eager list would store 2^40 entries (8 TiB) here.
+    constexpr std::uint64_t count = 1ULL << 40;
+    ChunkFreeList chunks(512);
+    chunks.seed(0, count);
+    EXPECT_EQ(chunks.size(), count);
+    EXPECT_EQ(chunks.pop(), 0u);
+    EXPECT_EQ(chunks.pop(), 512u);
+    EXPECT_EQ(chunks.size(), count - 2);
+
+    Ml1FreeList frames;
+    frames.seed(7, count);
+    EXPECT_EQ(frames.size(), count);
+    EXPECT_EQ(frames.pop(), 7u);
+    frames.push(3);
+    EXPECT_EQ(frames.size(), count);
+    EXPECT_EQ(frames.pop(), 3u);
+    EXPECT_EQ(frames.pop(), 8u);
+}
+
+TEST(SeededFreeListDeathTest, PopOnEmptyPanics)
+{
+    Ml1FreeList frames;
+    EXPECT_DEATH(frames.pop(), "ML1 free list underflow");
+    ChunkFreeList chunks(512);
+    chunks.seed(0, 1);
+    chunks.pop();
+    EXPECT_DEATH(chunks.pop(), "chunk free list underflow");
+}
+
+TEST(SeededFreeListDeathTest, SeedOnNonEmptyPanics)
+{
+    Ml1FreeList frames;
+    frames.seed(0, 4);
+    EXPECT_DEATH(frames.seed(100, 4), "seed of a non-empty ML1 free list");
+    ChunkFreeList chunks(512);
+    chunks.push(0x1000); // recycled entries count as well
+    EXPECT_DEATH(chunks.seed(0, 4), "seed of a non-empty chunk free list");
 }
 
 } // namespace
